@@ -2,10 +2,15 @@
 
 States are the 2**n assignments; the energy of a state is the number of
 violated parity equations.  This module enumerates ground states and
-local minima exactly and computes bottleneck energy barriers by a
-union-find sweep over increasing energy thresholds: two states are
-separated by height h when h is the smallest threshold at which they
-fall into one connected component of the energy-filtered hypercube.
+local minima exactly and computes bottleneck energy barriers from a merge
+tree of the energy-filtered hypercube (the barrier tree of Flamm et al.
+2002, exact on plateaus).  The tree grows one energy level h at a time: a
+vectorised connected-components pass labels the graph of the states with
+E = h and the roots of the components below h, and each component starts
+a leaf, extends one root, or merges several roots under a node at height
+h.  The height of two states is the larger of their energies and the
+height of their lowest common ancestor.  Growth stops once every query is
+resolved.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ from .rng import RngSpec
 
 EXHAUSTIVE_CAP_DEFAULT = 26
 KERNEL_CAP_DEFAULT = 1 << 16
+_NO_GROUND = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -104,14 +110,12 @@ def energy_table(inst: Instance, cap_n: int = EXHAUSTIVE_CAP_DEFAULT) -> np.ndar
     """Energies of all 2**n states as uint8, indexed by state bits."""
     n = inst.n
     _check_cap(n, cap_n)
-    dtype = np.uint32 if n <= 32 else np.uint64
-    v = np.zeros(1 << n, dtype=dtype)
+    v = np.zeros(1 << n, dtype=np.uint32)
     cols = inst.matrix.column_masks
     for q in range(n):
         half = 1 << q
-        v[half : 2 * half] = v[:half] ^ dtype(cols[q])
-    energies = np.bitwise_count(v).astype(np.uint8)
-    return energies
+        np.bitwise_xor(v[:half], np.uint32(cols[q]), out=v[half : 2 * half])
+    return np.bitwise_count(v)
 
 
 def _neighbor_energies(energies: np.ndarray, q: int) -> np.ndarray:
@@ -130,60 +134,112 @@ def enumerate_local_minima(inst: Instance, cap_n: int = EXHAUSTIVE_CAP_DEFAULT) 
     return [BitVector(n, int(s)) for s in np.flatnonzero(mask)]
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, size: int):
-        self.parent = np.arange(size, dtype=np.int32)
-
-    def find(self, v: int) -> int:
-        p = self.parent
-        while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
-        return int(v)
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _sweep_connections(
-    energies: np.ndarray,
-    n: int,
-    queries: list[tuple[int, tuple[int, ...]]],
-) -> list[tuple[int, int]]:
-    """(height, achieving target) per query: the smallest threshold at which
-    the query state joins any of its targets, by one union-find sweep over
-    ascending energy levels.  Stops as soon as every query is resolved.
+def _components(src: np.ndarray, dst: np.ndarray, size: int) -> np.ndarray:
+    """Least vertex of the component of each of ``size`` vertices under the
+    edges src[i]-dst[i].  Each round hooks every root under the least root
+    it shares an edge with, then flattens the trees by pointer jumping; the
+    level graphs of a landscape need few rounds (at most 5 at n = 24).
     """
-    uf = _UnionFind(1 << n)
-    answers: list[tuple[int, int] | None] = [None] * len(queries)
-    pending = set(range(len(queries)))
-    for h in range(int(energies.max()) + 1):
-        level = np.flatnonzero(energies == h)
-        if level.size:
-            for q in range(n):
-                nb = level ^ (1 << q)
-                sel = energies[nb] <= h
-                for a, b in zip(level[sel].tolist(), nb[sel].tolist()):
-                    uf.union(a, b)
-        for qi in list(pending):
-            s, targets = queries[qi]
-            if energies[s] > h:
-                continue
-            root = uf.find(s)
-            for t in sorted(targets):
-                if energies[t] <= h and uf.find(t) == root:
-                    answers[qi] = (h, t)
-                    pending.discard(qi)
-                    break
-        if not pending:
-            break
-    if pending:
-        raise AssertionError("hypercube failed to connect below max energy")
-    return answers  # type: ignore[return-value]
+    label = np.arange(size, dtype=np.int32)
+    while True:
+        a, b = label[src], label[dst]
+        cross = a != b
+        if not cross.any():
+            return label
+        np.minimum.at(label, np.maximum(a, b)[cross], np.minimum(a, b)[cross])
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
+
+
+class _MergeTree:
+    """Merge tree of the sublevel sets {E <= h}.  node_of maps each admitted
+    state to its component's root at admission, root each node to its current
+    root, and ground[v] is the lowest-bits ground state beneath node v.  Node
+    ids increase with height, so a parent's id exceeds its children's.
+    """
+
+    def __init__(self, energies: np.ndarray, n: int, done):
+        """Admit energy levels in ascending order until ``done(self)`` holds."""
+        self.energies, self.n = energies, n
+        self.node_of = np.full(1 << n, -1, dtype=np.int32)
+        self.parent, self.height, self.root = (np.empty(0, dtype=np.int32) for _ in range(3))
+        self.ground = np.empty(0, dtype=np.int64)
+        h, top = -1, int(energies.max())
+        while not done(self):
+            if h == top:
+                raise AssertionError("hypercube failed to connect below max energy")
+            h += 1
+            self._admit(h)
+
+    def _admit(self, h: int):
+        level = np.flatnonzero(self.energies == h)
+        if not level.size:
+            return
+        size, nodes, node_of = level.size, self.root.size, self.node_of
+        # Contracted graph: vertex p < size is level[p], vertex size + r is root
+        # r.  A level state links its first vertex, then only other vertices
+        # above its own position, so few edges repeat.
+        node_of[level] = -2 - np.arange(size, dtype=np.int32)
+        first = np.full(size, -1, dtype=np.int32)
+        src, dst = [], []
+        for q in range(self.n):
+            nb = node_of[level ^ (1 << q)]
+            hit = np.flatnonzero(nb != -1).astype(np.int32)
+            nb = nb[hit]
+            lower = nb >= 0
+            nb[lower] = size + self.root[nb[lower]]
+            nb[~lower] = -2 - nb[~lower]
+            new = first[hit] == -1
+            first[hit[new]] = nb[new]
+            keep = ~new & (nb != first[hit]) & (nb > hit)
+            src.append(hit[keep])
+            dst.append(nb[keep])
+        src.append(np.flatnonzero(first >= 0).astype(np.int32))
+        dst.append(first[src[-1]])
+        src, dst = np.concatenate(src), np.concatenate(dst)
+        count = size + nodes
+        label = _components(src, dst, count)
+        reached = np.zeros(nodes, dtype=bool)
+        reached[dst[dst >= size] - size] = True
+        touched = size + np.flatnonzero(reached)
+        roots_in = np.bincount(label[touched], minlength=count)
+        has_level = np.zeros(count, dtype=bool)
+        has_level[label[:size]] = True
+        fresh = np.flatnonzero(has_level & (roots_in != 1))  # births (no root) and merges (several)
+        node_at = np.empty(count, dtype=np.int32)
+        node_at[label[touched]] = touched - size  # an extension keeps its root
+        node_at[fresh] = nodes + np.arange(fresh.size, dtype=np.int32)
+        node_of[level] = node_at[label[:size]]
+
+        into = node_at[label[touched]]
+        merged = into >= nodes
+        joined, into = touched[merged] - size, into[merged]
+        self.parent = np.concatenate([self.parent, np.full(fresh.size, -1, dtype=np.int32)])
+        self.parent[joined] = into
+        self.height = np.concatenate([self.height, np.full(fresh.size, h, dtype=np.int32)])
+        self.ground = np.concatenate([self.ground, np.full(fresh.size, _NO_GROUND)])
+        if h == 0:
+            np.minimum.at(self.ground, node_of[level], level)
+        np.minimum.at(self.ground, into, self.ground[joined])
+        remap = np.arange(nodes + fresh.size, dtype=np.int32)
+        remap[joined] = into
+        self.root = np.concatenate([remap[self.root], remap[nodes:]])
+
+    def lca(self, a: int, b: int) -> int:
+        """Lowest common ancestor of two nodes of one component."""
+        while a != b:
+            if a < b:
+                a = int(self.parent[a])
+            else:
+                b = int(self.parent[b])
+        return a
+
+    def grounded(self, a: int) -> int:
+        """The first ancestor of node a (a itself included) holding a ground state."""
+        while self.ground[a] == _NO_GROUND:
+            a = int(self.parent[a])
+        return a
 
 
 def _witness_path(energies: np.ndarray, n: int, s: int, t: int, height: int) -> tuple[State, ...]:
@@ -221,7 +277,14 @@ def bottleneck_height(
         raise ValueError("state length mismatch")
     _check_cap(inst.n, cap_n)
     energies = energy_table(inst, cap_n)
-    (h, _), = _sweep_connections(energies, inst.n, [(s.bits, (t.bits,))])
+
+    def joined(tr):
+        a, b = tr.node_of[[s.bits, t.bits]]
+        return a >= 0 and b >= 0 and tr.root[a] == tr.root[b]
+
+    tree = _MergeTree(energies, inst.n, joined)
+    a, b = (int(tree.node_of[x.bits]) for x in (s, t))
+    h = max(int(energies[s.bits]), int(energies[t.bits]), int(tree.height[tree.lca(a, b)]))
     path = _witness_path(energies, inst.n, s.bits, t.bits, h) if witness else None
     return BarrierResult(s=s, t=t, height=h, barrier=h - energy(inst, s), witness_path=path)
 
@@ -246,19 +309,26 @@ def barriers_to_ground(
 ) -> list[BarrierResult]:
     """Barriers from each state to its nearest-in-height ground state.
 
-    All states share one threshold sweep.  The reported t is the
-    lowest-bits ground state in the first connecting component.
+    All states share one merge tree, grown until each state's component
+    holds a ground state.  The reported t is the lowest-bits ground state
+    in the first connecting component.
     """
     _check_cap(inst.n, cap_n)
-    grounds = ground_states(inst, kernel_cap)
-    ground_bits = tuple(g.bits for g in grounds)
+    ground_states(inst, kernel_cap)  # enforces the kernel cap
     energies = energy_table(inst, cap_n)
-    queries = [(s.bits, ground_bits) for s in states]
-    answers = _sweep_connections(energies, inst.n, queries)
+    bits = np.array([s.bits for s in states], dtype=np.int64)
+
+    def all_grounded(tr):
+        nodes = tr.node_of[bits]
+        return np.all(nodes >= 0) and np.all(tr.ground[tr.root[nodes]] != _NO_GROUND)
+
+    tree = _MergeTree(energies, inst.n, all_grounded)
     results = []
-    for s, (h, t_bits) in zip(states, answers):
-        t = BitVector(inst.n, t_bits)
-        path = _witness_path(energies, inst.n, s.bits, t_bits, h) if witness else None
+    for s in states:
+        top = tree.grounded(int(tree.node_of[s.bits]))
+        h = max(int(energies[s.bits]), int(tree.height[top]))
+        t = BitVector(inst.n, int(tree.ground[top]))
+        path = _witness_path(energies, inst.n, s.bits, t.bits, h) if witness else None
         results.append(
             BarrierResult(s=s, t=t, height=h, barrier=h - energy(inst, s), witness_path=path)
         )

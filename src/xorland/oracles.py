@@ -26,9 +26,14 @@ def naive_energy(inst: Instance, state_bits: int) -> int:
     return count
 
 
+def naive_energies(inst: Instance) -> list[int]:
+    """Energies of all 2**n states, by direct parity counting."""
+    return [naive_energy(inst, x) for x in range(1 << inst.n)]
+
+
 def naive_local_minima(inst: Instance) -> list[State]:
     n = inst.n
-    energies = [naive_energy(inst, s) for s in range(1 << n)]
+    energies = naive_energies(inst)
     out = []
     for s in range(1 << n):
         if energies[s] == 0:
@@ -38,32 +43,53 @@ def naive_local_minima(inst: Instance) -> list[State]:
     return out
 
 
-def naive_bottleneck_height(inst: Instance, s: State, t: State) -> int:
-    """Smallest h such that s reaches t through states of energy <= h (BFS)."""
-    n = inst.n
-    energies = [naive_energy(inst, x) for x in range(1 << n)]
-    for h in range(max(energies[s.bits], energies[t.bits]), n + 1):
-        seen = bytearray(1 << n)
-        seen[s.bits] = 1
-        frontier = deque([s.bits])
-        while frontier:
-            cur = frontier.popleft()
-            if cur == t.bits:
-                return h
-            for q in range(n):
-                nxt = cur ^ (1 << q)
-                if not seen[nxt] and energies[nxt] <= h:
-                    seen[nxt] = 1
-                    frontier.append(nxt)
+def _reachable(energies: list[int], n: int, s: int, h: int) -> bytearray:
+    """Marks of the states that s reaches through states of energy <= h (BFS)."""
+    seen = bytearray(1 << n)
+    seen[s] = 1
+    frontier = deque([s])
+    while frontier:
+        cur = frontier.popleft()
+        for q in range(n):
+            nxt = cur ^ (1 << q)
+            if not seen[nxt] and energies[nxt] <= h:
+                seen[nxt] = 1
+                frontier.append(nxt)
+    return seen
+
+
+def naive_bottleneck_height(
+    inst: Instance, s: State, t: State, energies: list[int] | None = None
+) -> int:
+    """Smallest h such that s reaches t through states of energy <= h.
+
+    ``energies`` is ``naive_energies(inst)``, computed here when not given.
+    """
+    energies = naive_energies(inst) if energies is None else energies
+    for h in range(max(energies[s.bits], energies[t.bits]), inst.n + 1):
+        if _reachable(energies, inst.n, s.bits, h)[t.bits]:
+            return h
     raise AssertionError("unreachable: hypercube connects at max energy")
 
 
 def naive_barrier_to_ground(inst: Instance, s: State) -> int:
     """Barrier of s: min over ground states of the bottleneck height, minus E(s)."""
     n = inst.n
-    grounds = [x for x in range(1 << n) if naive_energy(inst, x) == 0]
-    best = min(naive_bottleneck_height(inst, s, BitVector(n, g)) for g in grounds)
-    return best - naive_energy(inst, s.bits)
+    energies = naive_energies(inst)
+    grounds = [x for x in range(1 << n) if energies[x] == 0]
+    best = min(naive_bottleneck_height(inst, s, BitVector(n, g), energies) for g in grounds)
+    return best - energies[s.bits]
+
+
+def naive_nearest_ground(inst: Instance, s: State, energies: list[int]) -> tuple[int, int]:
+    """(h, g): the first h at which s reaches a ground state through states of
+    energy <= h, and the lowest-bits ground state g it reaches at h."""
+    for h in range(energies[s.bits], inst.n + 1):
+        seen = _reachable(energies, inst.n, s.bits, h)
+        reached = [x for x in range(1 << inst.n) if seen[x] and energies[x] == 0]
+        if reached:
+            return h, reached[0]
+    raise AssertionError("unreachable: hypercube connects at max energy")
 
 
 def parse_dimacs(path: str | Path) -> tuple[int, list[list[int]]]:

@@ -13,7 +13,13 @@ from xorland.landscape import (
     ground_states,
     is_local_minimum,
 )
-from xorland.oracles import naive_barrier_to_ground, naive_bottleneck_height, naive_local_minima
+from xorland.oracles import (
+    naive_barrier_to_ground,
+    naive_bottleneck_height,
+    naive_energies,
+    naive_local_minima,
+    naive_nearest_ground,
+)
 from xorland.rng import RngSpec
 
 
@@ -174,6 +180,77 @@ class TestBarriers:
             for v, res in zip(lm, fast):
                 assert res.barrier == naive_barrier_to_ground(inst, v)
                 assert res.height == naive_bottleneck_height(inst, v, res.t)
+
+
+class TestBarrierOracleDifferential:
+    """The merge-tree barriers against the brute-force BFS oracles, deep queries included."""
+
+    @pytest.mark.parametrize("k,n,seed", [(3, 10, 0), (4, 10, 1), (3, 12, 2), (4, 12, 3), (3, 14, 4)])
+    def test_bottleneck_pairs(self, k, n, seed):
+        inst = Instance.random(k, n, RngSpec(61).with_stream(seed))
+        energies = naive_energies(inst)
+        top = max(range(1 << n), key=energies.__getitem__)
+        gen = RngSpec(67).generator(seed)
+        pairs = [(0, top)] + [(int(gen.integers(0, 1 << n)), top) for _ in range(2)]
+        pairs += [tuple(int(x) for x in gen.integers(0, 1 << n, size=2)) for _ in range(6)]
+        heights = []
+        for s_bits, t_bits in pairs:
+            s, t = BitVector(n, s_bits), BitVector(n, t_bits)
+            res = bottleneck_height(inst, s, t, witness=True)
+            assert res.height == naive_bottleneck_height(inst, s, t, energies)
+            assert res.barrier == res.height - energies[s_bits]
+            assert max(energies[p.bits] for p in res.witness_path) == res.height
+            heights.append(res.height)
+        if k % 2:
+            # odd k: the all-ones state violates every equation, so a query to it peaks at n
+            assert energies[top] == n and max(heights) == n
+
+    @pytest.mark.parametrize("k,n,seed", [(3, 10, 5), (4, 10, 6), (3, 12, 7), (4, 12, 8)])
+    def test_ground_tie_break(self, k, n, seed):
+        inst = Instance.random(k, n, RngSpec(71).with_stream(seed))
+        energies = naive_energies(inst)
+        gen = RngSpec(73).generator(seed)
+        states = enumerate_local_minima(inst)
+        states += [BitVector(n, int(x)) for x in gen.integers(0, 1 << n, size=6)]
+        for s, res in zip(states, barriers_to_ground(inst, states)):
+            height, ground = naive_nearest_ground(inst, s, energies)
+            assert (res.height, res.t.bits) == (height, ground)
+            assert res.barrier == height - energies[s.bits]
+
+    def test_even_k_plateaus(self):
+        # Even k: a flip changes the energy by an even amount, often 0, so
+        # basins are plateaus of equal-energy states (a degenerate landscape).
+        n = 12
+        inst = Instance.random(4, n, RngSpec(79))
+        energies = naive_energies(inst)
+        plateau = [
+            s
+            for s in range(1 << n)
+            if energies[s] > 0
+            and all(energies[s ^ (1 << q)] >= energies[s] for q in range(n))
+            and any(energies[s ^ (1 << q)] == energies[s] for q in range(n))
+        ]
+        assert len(plateau) >= 2
+        states = [BitVector(n, s) for s in plateau[:: max(1, len(plateau) // 12)]]
+        for s, res in zip(states, barriers_to_ground(inst, states)):
+            assert (res.height, res.t.bits) == naive_nearest_ground(inst, s, energies)
+        res = bottleneck_height(inst, states[0], states[-1])
+        assert res.height == naive_bottleneck_height(inst, states[0], states[-1], energies)
+
+    def test_queries_from_ground_states(self):
+        n = 12
+        inst = Instance.random(4, n, RngSpec(83))
+        energies = naive_energies(inst)
+        grounds = ground_states(inst)
+        assert len(grounds) >= 2
+        for g, res in zip(grounds, barriers_to_ground(inst, grounds)):
+            assert (res.height, res.barrier, res.t) == (0, 0, g)
+        res = bottleneck_height(inst, grounds[0], grounds[-1])
+        assert res.height == naive_bottleneck_height(inst, grounds[0], grounds[-1], energies)
+        assert res.barrier == res.height
+
+    def test_empty_query_list(self, eq1_instance):
+        assert barriers_to_ground(eq1_instance, []) == []
 
 
 class TestExpansionEnergyInvariant:
