@@ -342,8 +342,9 @@ def criterion_10() -> CriterionResult:
         for idx in range(count):
             k = 3 if (instances_checked % 2 == 0) else 4
             inst = Instance.random(k, n, RngSpec(1001).with_stream(instances_checked))
+            naive_energies = oracles.naive_energies(inst)
             fast = {v.bits for v in landscape.enumerate_local_minima(inst)}
-            slow = {v.bits for v in oracles.naive_local_minima(inst)}
+            slow = {v.bits for v in oracles.naive_local_minima(inst, naive_energies)}
             if fast != slow:
                 passed = False
             sample = sorted(fast)[:4]
@@ -351,7 +352,7 @@ def criterion_10() -> CriterionResult:
             if states:
                 fast_res = landscape.barriers_to_ground(inst, states)
                 for st, res in zip(states, fast_res):
-                    if res.barrier != oracles.naive_barrier_to_ground(inst, st):
+                    if res.barrier != oracles.naive_barrier_to_ground(inst, st, naive_energies):
                         passed = False
                     barriers_checked += 1
             instances_checked += 1

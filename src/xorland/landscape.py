@@ -1,16 +1,20 @@
 """Exhaustive energy-landscape analytics for small n.
 
 States are the 2**n assignments; the energy of a state is the number of
-violated parity equations.  This module enumerates ground states and
-local minima exactly and computes bottleneck energy barriers from a merge
-tree of the energy-filtered hypercube (the barrier tree of Flamm et al.
-2002, exact on plateaus).  The tree grows one energy level h at a time: a
-vectorised connected-components pass labels the graph of the states with
-E = h and the roots of the components below h, and each component starts
-a leaf, extends one root, or merges several roots under a node at height
-h.  The height of two states is the larger of their energies and the
-height of their lowest common ancestor.  Growth stops once every query is
-resolved.
+violated parity equations.  Flipping variable q changes it by
+k - 2 |v & col_q|, v = A s the violated rows, so s is a local minimum exactly
+when v != 0 and every column meets at most (k - 1) // 2 violated rows; local
+minima are listed from those row sets, lifted through A, without a table of
+the 2**n energies.  Ground states are the kernel.
+
+Barriers come from a merge tree of the energy-filtered hypercube (the
+barrier tree of Flamm et al. 2002, exact on plateaus).  The tree grows one
+energy level h at a time: a vectorised connected-components pass labels
+the graph of the states with E = h and the roots of the components below
+h, and each component starts a leaf, extends one root, or merges several
+roots under a node at height h.  The height of two states is the larger of
+their energies and the height of their lowest common ancestor.  Growth
+stops once every query is resolved.
 """
 from __future__ import annotations
 
@@ -20,12 +24,13 @@ from collections import deque
 import numpy as np
 
 from . import ensemble
-from .gf2 import BitMatrix, BitVector, State, enumerate_kernel, mul_vec
+from .gf2 import BitMatrix, BitVector, State, _reduced_echelon, enumerate_kernel, mul_vec
 from .rng import RngSpec
 
 EXHAUSTIVE_CAP_DEFAULT = 26
 KERNEL_CAP_DEFAULT = 1 << 16
 _NO_GROUND = np.iinfo(np.int64).max
+_UNSEEN = 255
 
 
 @dataclass(frozen=True)
@@ -118,20 +123,40 @@ def energy_table(inst: Instance, cap_n: int = EXHAUSTIVE_CAP_DEFAULT) -> np.ndar
     return np.bitwise_count(v)
 
 
-def _neighbor_energies(energies: np.ndarray, q: int) -> np.ndarray:
-    """energies[state ^ (1 << q)] for all states, as a strided block swap."""
-    return energies.reshape(-1, 2, 1 << q)[:, ::-1, :].reshape(-1)
+def _row_lifts(a: BitMatrix) -> list[tuple[int, int]]:
+    """(r_i, y_i) per row i with A y_i = e_i + r_i, r_i free of pivot rows: a row
+    set v is in the column space of A iff its r_i sum to 0, its y_i to a preimage."""
+    m = a.n_rows
+    aug = [col | 1 << (m + j) for j, col in enumerate(a.column_masks)]
+    lifts = [(1 << i, 0) for i in range(m)]
+    for row, p in zip(*_reduced_echelon(aug, m)):
+        lifts[p] = (row & ((1 << m) - 1) ^ 1 << p, row >> m)
+    return lifts
 
 
 def enumerate_local_minima(inst: Instance, cap_n: int = EXHAUSTIVE_CAP_DEFAULT) -> list[State]:
-    """All local minima, by a full sweep of the 2**n states."""
-    n = inst.n
+    """All local minima, sorted by state bits: a depth-first search over the row
+    sets that load no column beyond (k - 1) // 2 (a downward-closed family),
+    each lifted to a preimage and expanded by the kernel."""
+    n, rows = inst.n, inst.matrix.rows
     _check_cap(n, cap_n)
-    energies = energy_table(inst, cap_n)
-    mask = energies > 0
-    for q in range(n):
-        np.logical_and(mask, _neighbor_energies(energies, q) > energies, out=mask)
-    return [BitVector(n, int(s)) for s in np.flatnonzero(mask)]
+    lifts, limit, found = _row_lifts(inst.matrix), (inst.k - 1) // 2, []
+
+    def extend(first: int, load: list[int], res: int, pre: int):
+        # load[j]: the columns that at least j chosen rows meet
+        for i in range(first, n):
+            r = rows[i]
+            if r & load[limit]:
+                continue
+            up = load[:1] + [load[j] | load[j - 1] & r for j in range(1, limit + 1)]
+            r_i, y_i = lifts[i]
+            if res == r_i:
+                found.append(pre ^ y_i)
+            extend(i + 1, up, res ^ r_i, pre ^ y_i)
+
+    extend(0, [(1 << n) - 1] + [0] * limit, 0, 0)
+    kernel = [g.bits for g in enumerate_kernel(inst.matrix, 1 << n)]
+    return [BitVector(n, s) for s in sorted(s0 ^ g for s0 in found for g in kernel)]
 
 
 def _components(src: np.ndarray, dst: np.ndarray, size: int) -> np.ndarray:
@@ -244,8 +269,8 @@ class _MergeTree:
 
 def _witness_path(energies: np.ndarray, n: int, s: int, t: int, height: int) -> tuple[State, ...]:
     """A concrete s-t walk whose maximum energy equals the bottleneck height."""
-    prev = np.full(1 << n, -1, dtype=np.int64)
-    prev[s] = s
+    via = np.full(1 << n, _UNSEEN, dtype=np.uint8)  # the bit flipped to reach each state
+    via[s] = 0
     frontier = deque([s])
     while frontier:
         cur = frontier.popleft()
@@ -253,14 +278,14 @@ def _witness_path(energies: np.ndarray, n: int, s: int, t: int, height: int) -> 
             break
         for q in range(n):
             nxt = cur ^ (1 << q)
-            if prev[nxt] == -1 and energies[nxt] <= height:
-                prev[nxt] = cur
+            if via[nxt] == _UNSEEN and energies[nxt] <= height:
+                via[nxt] = q
                 frontier.append(nxt)
-    if prev[t] == -1:
+    if via[t] == _UNSEEN:
         raise AssertionError("no path at the computed bottleneck height")
     path = [t]
     while path[-1] != s:
-        path.append(int(prev[path[-1]]))
+        path.append(path[-1] ^ 1 << int(via[path[-1]]))
     path.reverse()
     return tuple(BitVector(n, p) for p in path)
 

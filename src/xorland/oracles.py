@@ -1,13 +1,15 @@
 """Independent brute-force oracles used to validate the fast paths.
 
 Everything here recomputes from first principles (direct parity counting,
-breadth-first threshold connectivity, literal-level clause evaluation)
-and shares no code with the implementations it checks.
+breadth-first threshold connectivity, literal-level clause evaluation, energy
+table sweeps) and shares no code with the implementations it checks.
 """
 from __future__ import annotations
 
 from collections import deque
 from pathlib import Path
+
+import numpy as np
 
 from .gf2 import BitVector, State
 from .landscape import Instance
@@ -31,9 +33,9 @@ def naive_energies(inst: Instance) -> list[int]:
     return [naive_energy(inst, x) for x in range(1 << inst.n)]
 
 
-def naive_local_minima(inst: Instance) -> list[State]:
+def naive_local_minima(inst: Instance, energies: list[int] | None = None) -> list[State]:
     n = inst.n
-    energies = naive_energies(inst)
+    energies = naive_energies(inst) if energies is None else energies
     out = []
     for s in range(1 << n):
         if energies[s] == 0:
@@ -41,6 +43,15 @@ def naive_local_minima(inst: Instance) -> list[State]:
         if all(energies[s ^ (1 << q)] > energies[s] for q in range(n)):
             out.append(BitVector(n, s))
     return out
+
+
+def table_local_minima(energies: np.ndarray, n: int) -> list[int]:
+    """The states of a 2**n energy table with E > 0 below all n neighbours."""
+    mask = energies > 0
+    for q in range(n):
+        flipped = energies.reshape(-1, 2, 1 << q)[:, ::-1, :].reshape(-1)  # energies[s ^ 1 << q]
+        np.logical_and(mask, flipped > energies, out=mask)
+    return np.flatnonzero(mask).tolist()
 
 
 def _reachable(energies: list[int], n: int, s: int, h: int) -> bytearray:
@@ -72,10 +83,10 @@ def naive_bottleneck_height(
     raise AssertionError("unreachable: hypercube connects at max energy")
 
 
-def naive_barrier_to_ground(inst: Instance, s: State) -> int:
+def naive_barrier_to_ground(inst: Instance, s: State, energies: list[int] | None = None) -> int:
     """Barrier of s: min over ground states of the bottleneck height, minus E(s)."""
     n = inst.n
-    energies = naive_energies(inst)
+    energies = naive_energies(inst) if energies is None else energies
     grounds = [x for x in range(1 << n) if energies[x] == 0]
     best = min(naive_bottleneck_height(inst, s, BitVector(n, g), energies) for g in grounds)
     return best - energies[s.bits]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,8 @@ from xorland.cli import main
 from xorland.instances import read_instance, write_instance
 from xorland.landscape import Instance
 from xorland.rng import RngSpec
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -61,6 +64,14 @@ class TestLandscape:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("state,")
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("name", ["landscape_k3_n22", "landscape_k4_n18"])
+    def test_golden_no_barriers_report(self, name, tmp_path):
+        # recorded from the 2**n table sweep; the row-set enumeration must match it byte for byte
+        infile, out = DATA / f"{name}.xnf", tmp_path / "l.json"
+        assert main(["landscape", "--in", str(infile), "--no-barriers", "--json", str(out)]) == 0
+        report = out.read_text().replace(json.dumps(str(infile)), '"<infile>"')
+        assert report == (DATA / f"{name}.json").read_text()
 
 
 class TestExpand:

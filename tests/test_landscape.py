@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
+from xorland import landscape
 from xorland.expansion import ExpansionParams, check_boundary_expander
-from xorland.gf2 import BitVector, KernelTooLargeError
+from xorland.gf2 import BitMatrix, BitVector, KernelTooLargeError
 from xorland.landscape import (
     Instance,
     barrier_to_ground,
@@ -19,6 +22,7 @@ from xorland.oracles import (
     naive_energies,
     naive_local_minima,
     naive_nearest_ground,
+    table_local_minima,
 )
 from xorland.rng import RngSpec
 
@@ -121,6 +125,51 @@ class TestLocalMinima:
         fast = {v.bits for v in enumerate_local_minima(inst)}
         slow = {v.bits for v in naive_local_minima(inst)}
         assert fast == slow
+
+
+def _shifted_instance(k: int, n: int, seed: int) -> Instance:
+    """A k-regular instance built directly, since rejection sampling takes
+    seconds at k = 6: row i is {perm[(i + d) % n] : d in offsets}."""
+    rng = random.Random(seed)
+    offsets, perm = rng.sample(range(n), k), rng.sample(range(n), n)
+    supports = [[perm[(i + d) % n] for d in offsets] for i in range(n)]
+    return Instance(matrix=BitMatrix.from_row_supports(n, supports, k_regular=k), k=k)
+
+
+class TestLocalMinimaEngine:
+    """The row-set enumeration against the naive and table-sweep oracles: same
+    states in the same order."""
+
+    @pytest.mark.parametrize("k,n,seed", [(3, 12, 0), (3, 14, 1), (4, 12, 2), (4, 14, 3),
+                                          (5, 10, 4), (5, 12, 5), (6, 12, 6), (6, 13, 7)])
+    def test_against_naive_oracle(self, k, n, seed):
+        if k == 6:
+            inst = _shifted_instance(k, n, seed)
+        else:
+            inst = Instance.random(k, n, RngSpec(89).with_stream(seed))
+        fast = enumerate_local_minima(inst)
+        assert fast == naive_local_minima(inst)
+        if k % 2 == 0:
+            # even k: all-ones is a ground state, so minima come in pairs s, ~s
+            ones = (1 << n) - 1
+            assert fast and {v.bits ^ ones for v in fast} == {v.bits for v in fast}
+
+    @pytest.mark.parametrize("k,n,seed", [(3, 18, 0), (4, 18, 1), (3, 20, 2), (4, 20, 3),
+                                          (3, 22, 4), (5, 18, 5)])
+    def test_against_table_oracle(self, k, n, seed):
+        inst = Instance.random(k, n, RngSpec(97).with_stream(seed))
+        fast = [v.bits for v in enumerate_local_minima(inst)]
+        assert fast == table_local_minima(energy_table(inst), n)
+
+    def test_builds_no_energy_table(self, monkeypatch):
+        inst = Instance.random(4, 12, RngSpec(101))
+        expected = naive_local_minima(inst)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("energy table built")
+
+        monkeypatch.setattr(landscape, "energy_table", refuse)
+        assert enumerate_local_minima(inst) == expected
 
 
 class TestBarriers:
