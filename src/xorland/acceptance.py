@@ -39,18 +39,18 @@ def worked_example() -> Instance:
 
 
 def _result(number, title, passed, details, t0) -> CriterionResult:
-    return CriterionResult(number, title, bool(passed), details, time.time() - t0)
+    return CriterionResult(number, title, bool(passed), details, time.perf_counter() - t0)
 
 
 def criterion_1() -> CriterionResult:
     title = "worked-example exactness (ground state, minima, barriers)"
-    t0 = time.time()
+    t0 = time.perf_counter()
     inst = worked_example()
     grounds = {g.to01() for g in landscape.ground_states(inst)}
     lm = landscape.enumerate_local_minima(inst)
     lm_set = {v.to01() for v in lm}
     barriers = [r.barrier for r in landscape.barriers_to_ground(inst, lm)]
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     passed = (
         grounds == {"0000"}
         and lm_set == {"1110", "1101", "1011", "0111"}
@@ -63,7 +63,7 @@ def criterion_1() -> CriterionResult:
 
 def criterion_2() -> CriterionResult:
     title = "weighted kernel-bound sums approach 2 (odd k) and 4 (even k)"
-    t0 = time.time()
+    t0 = time.perf_counter()
     ladder = (50, 100, 200, 400)
     details = []
     passed = True
@@ -78,7 +78,7 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     title = "kernel-size Monte Carlo: O(1) mean at k=3; all-ones member at k=4"
-    t0 = time.time()
+    t0 = time.perf_counter()
     spec = RngSpec(seed=301)
     sizes = []
     for t in range(1000):
@@ -99,7 +99,7 @@ def criterion_3() -> CriterionResult:
 
 def criterion_4() -> CriterionResult:
     title = "simpleness probability within 3 s.e. of exp(-(k-1)^2/2)"
-    t0 = time.time()
+    t0 = time.perf_counter()
     details = []
     passed = True
     for k, seed in ((3, 401), (4, 402)):
@@ -114,7 +114,7 @@ def criterion_4() -> CriterionResult:
 
 def criterion_5() -> CriterionResult:
     title = "local limit law: rel. error < 2% at n=2000 and halving with n"
-    t0 = time.time()
+    t0 = time.perf_counter()
     cases = {
         "1+z": enumerator.IntPoly.from_coeffs([1, 1]),
         "1+3z": enumerator.even_weight_poly(3).halve_degrees(),
@@ -138,7 +138,7 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6() -> CriterionResult:
     title = "saddle and composition bounds dominate exact enumerators"
-    t0 = time.time()
+    t0 = time.perf_counter()
     saddle_ok = True
     for n in range(4, 61):
         table = enumerator.weight_enumerator_table(3, n)
@@ -169,7 +169,7 @@ def criterion_6() -> CriterionResult:
 
 def criterion_7() -> CriterionResult:
     title = "construction soundness: emitted minima, certificates, structural count"
-    t0 = time.time()
+    t0 = time.perf_counter()
     # (a) 100 instances at n=40, corank <= 2: every emitted pair is a local minimum.
     accepted = 0
     seed = 0
@@ -268,7 +268,7 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     title = "focused-walk drift >= 55/108 under verified expansion; hitting times grow"
-    t0 = time.time()
+    t0 = time.perf_counter()
     bound = Fraction(55, 108)
     spec = RngSpec(seed=801)
     inst = Instance.random(6, 18, spec, max_tries=2 * 10**8)
@@ -305,7 +305,7 @@ def criterion_8() -> CriterionResult:
 
 def criterion_9() -> CriterionResult:
     title = "SAT encoding: violated-clause count equals the linear energy pointwise"
-    t0 = time.time()
+    t0 = time.perf_counter()
     passed = True
     checked = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -333,7 +333,7 @@ def criterion_9() -> CriterionResult:
 
 def criterion_10() -> CriterionResult:
     title = "exhaustive engine agrees with naive brute-force oracles (n <= 14)"
-    t0 = time.time()
+    t0 = time.perf_counter()
     passed = True
     plan = [(8, 20), (10, 14), (12, 10), (14, 6)]
     instances_checked = 0

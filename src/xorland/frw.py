@@ -1,11 +1,15 @@
 """Focused random walk: simulation, exact one-step drift, hitting-time runs.
 
 Each step picks a violated equation uniformly at random and flips one of
-its k variables uniformly at random.  The walk keeps the violated-row
-vector incrementally (one column-mask XOR per flip).  Raw 64-bit draws
-are consumed from pre-drawn blocks and reduced modulo the needed range;
-the bias (at most n / 2**63) is negligible against every statistical
-tolerance used anywhere in this package.
+its k variables uniformly at random, with bounded work per step.  The
+violated-row vector v is kept as an int (one column-mask XOR per flip); the
+(r mod E)-th violated row, E = popcount(v), is found by scanning v a byte
+at a time through 256-entry popcount and set-position tables.  Two raw
+64-bit draws per step are reduced modulo the needed range (bias at most
+n / 2**63, negligible against every tolerance used in this package).  They
+are drawn lazily in even chunks of 256 doubling to 1024: Philox fills each
+int64 in [0, 2**63) from one 64-bit output with no rejection and no carried
+state, so any chunking yields the same stream, and the same walk.
 """
 from __future__ import annotations
 
@@ -31,45 +35,33 @@ class WalkTrace:
     record_every: int | None = None
 
 
-class _RawDraws:
-    """Deterministic stream of raw 64-bit integers, drawn in blocks."""
-
-    __slots__ = ("gen", "block", "pos")
-
-    def __init__(self, gen: np.random.Generator, block_size: int = 1 << 14):
-        self.gen = gen
-        self.block = gen.integers(0, 1 << 63, size=block_size, dtype=np.int64)
-        self.pos = 0
-
-    def next(self) -> int:
-        if self.pos == len(self.block):
-            self.block = self.gen.integers(0, 1 << 63, size=len(self.block), dtype=np.int64)
-            self.pos = 0
-        v = self.block[self.pos]
-        self.pos += 1
-        return int(v)
+_CHUNK_MIN, _CHUNK_MAX = 256, 1024  # raw draws per refill; even, so a step never straddles two
+_POP8 = tuple(b.bit_count() for b in range(256))
+_BITS8 = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 
 
-def _violated_indices(v_bits: int) -> list[int]:
-    out = []
-    while v_bits:
-        low = v_bits & -v_bits
-        out.append(low.bit_length() - 1)
-        v_bits ^= low
-    return out
+def _select(v: int, r: int) -> int:
+    """Index of the r-th (0-based, ascending) set bit of v; requires r < popcount(v)."""
+    base = 0
+    while True:
+        b = v & 255
+        c = _POP8[b]
+        if r < c:
+            return base + _BITS8[b][r]
+        r -= c
+        v >>= 8
+        base += 8
 
 
 def frw_step(inst: Instance, s: State, rng: RngSpec | np.random.Generator) -> State:
-    """One focused step; requires at least one violated equation."""
+    """One focused step (the step rule of :func:`frw_run`); requires a violated equation."""
     gen = rng.generator() if isinstance(rng, RngSpec) else rng
     v = mul_vec(inst.matrix, s).bits
     if v == 0:
         raise ValueError("state has energy 0: no violated equation to focus on")
-    rows = _violated_indices(v)
-    eq = rows[int(gen.integers(len(rows)))]
-    support = inst.matrix.row_vector(eq).support()
-    q = support[int(gen.integers(len(support)))]
-    return s.flip(q)
+    r1, r2 = gen.integers(0, 1 << 63, size=2, dtype=np.int64).tolist()
+    support = inst.matrix.row_vector(_select(v, r1 % v.bit_count())).support()
+    return s.flip(support[r2 % inst.k])
 
 
 def frw_run(
@@ -90,12 +82,14 @@ def frw_run(
         raise ValueError("max_steps must be >= 1")
     if s0.length != inst.n:
         raise ValueError("state length mismatch")
-    n = inst.n
+    n, k = inst.n, inst.k
     cols = inst.matrix.column_masks
     supports = [inst.matrix.row_vector(i).support() for i in range(n)]
     s = s0.bits
     v = mul_vec(inst.matrix, s0).bits
-    draws = _RawDraws(rng.generator())
+    gen = rng.generator()
+    draws: list[int] = []
+    pos, chunk = 0, _CHUNK_MIN
     energies: list[int] | None = [] if record_every else None
     dists: list[int] | None = [] if (record_every and grounds is not None) else None
 
@@ -108,10 +102,11 @@ def frw_run(
     record()
     steps = 0
     while v and steps < max_steps:
-        rows = _violated_indices(v)
-        eq = rows[draws.next() % len(rows)]
-        support = supports[eq]
-        q = support[draws.next() % len(support)]
+        if pos == len(draws):
+            draws = gen.integers(0, 1 << 63, size=chunk, dtype=np.int64).tolist()
+            pos, chunk = 0, min(2 * chunk, _CHUNK_MAX)
+        q = supports[_select(v, draws[pos] % v.bit_count())][draws[pos + 1] % k]
+        pos += 2
         s ^= 1 << q
         v ^= cols[q]
         steps += 1
@@ -142,13 +137,9 @@ def drift_probability(inst: Instance, g: State, s: State) -> Fraction:
         raise ValueError("state has energy 0")
     diff = s.bits ^ g.bits
     k = inst.k
-    num_away = 0
-    e = 0
-    for i in _violated_indices(v):
-        row = inst.matrix.rows[i]
-        num_away += k - (row & diff).bit_count()
-        e += 1
-    return Fraction(num_away, k * e)
+    rows = inst.matrix.rows
+    num_away = sum(k - (rows[i] & diff).bit_count() for i in range(inst.n) if v >> i & 1)
+    return Fraction(num_away, k * v.bit_count())
 
 
 def focused_drift_lower_bound(k: int, delta) -> Fraction:

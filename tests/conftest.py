@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from xorland.gf2 import BitMatrix
@@ -15,3 +17,17 @@ def eq1_matrix() -> BitMatrix:
 @pytest.fixture
 def eq1_instance(eq1_matrix) -> Instance:
     return Instance(matrix=eq1_matrix, k=3)
+
+
+@pytest.fixture
+def shifted_instance():
+    """Builds k-regular instances directly, since rejection sampling takes
+    seconds at k = 6: row i is {perm[(i + d) % n] : d in offsets}."""
+
+    def build(k: int, n: int, seed: int) -> Instance:
+        rng = random.Random(seed)
+        offsets, perm = rng.sample(range(n), k), rng.sample(range(n), n)
+        supports = [[perm[(i + d) % n] for d in offsets] for i in range(n)]
+        return Instance(matrix=BitMatrix.from_row_supports(n, supports, k_regular=k), k=k)
+
+    return build

@@ -133,6 +133,20 @@ class TestWalkAndMinima:
         data = json.loads(out.read_text())
         assert [rec["n"] for rec in data["records"]] == [8, 10]
 
+    @pytest.mark.parametrize("name,argv", [
+        ("walk_experiment_k4", ["--experiment", "--k", "4", "--n-list", "14,16,18",
+                                "--trials", "4", "--cap", "3000"]),
+        ("walk_k3_n22", ["--in", str(DATA / "landscape_k3_n22.xnf"),
+                         "--trials", "8", "--cap", "20000"]),
+    ])
+    def test_golden_walk_report(self, name, argv, tmp_path):
+        # recorded with the list-per-step walk; fixed-seed walks must match it byte for byte
+        out = tmp_path / "w.json"
+        assert main(["walk", *argv, "--seed", "7", "--json", str(out)]) == 0
+        infile = json.dumps(str(DATA / "landscape_k3_n22.xnf"))
+        report = out.read_text().replace(infile, '"<infile>"')
+        assert report == (DATA / f"{name}.json").read_text()
+
     def test_minima_subcommand(self, tmp_path):
         src = tmp_path / "m.xnf"
         inst = Instance.random(3, 40, RngSpec(7))

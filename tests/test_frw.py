@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from xorland.frw import (
 )
 from xorland.gf2 import BitVector, mul_vec
 from xorland.landscape import Instance, energy, ground_states
+from xorland.oracles import naive_frw_run
 from xorland.rng import RngSpec
 
 
@@ -89,6 +91,37 @@ class TestFrwRun:
         trace = frw_run(inst, s0, RngSpec(13), 200)
         # terminal differs from start by steps flips at most (parity match)
         assert (s0 ^ trace.terminal).weight % 2 == trace.steps % 2
+
+
+class TestWalkOracleDifferential:
+    """frw_run against the list-and-block oracle: the same walk, step for step.
+    n straddles byte boundaries of the row selection and passes 64 bits; the
+    12,000-step cap spans several refills of the raw-draw buffer."""
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 16, 17, 60, 70])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_same_walk(self, k, n, shifted_instance):
+        if k >= 5:
+            inst = shifted_instance(k, n, 100 * k + n)
+        else:
+            inst = Instance.random(k, n, RngSpec(61).with_stream(100 * k + n))
+        grounds = ground_states(inst)
+        starts = random.Random(n)
+        for cap, record_every, gs in [(1, None, None), (300, 7, None), (12_000, 40, grounds)]:
+            s0 = BitVector(n, starts.getrandbits(n))
+            rng = RngSpec(k, stream=cap)
+            trace = frw_run(inst, s0, rng, cap, record_every=record_every, grounds=gs)
+            got = (trace.steps, trace.terminal, trace.hit_ground, trace.energies, trace.distances)
+            assert got == naive_frw_run(inst, s0, rng, cap, record_every, gs)
+
+    def test_step_is_first_step_of_run(self):
+        inst = Instance.random(3, 20, RngSpec(67))
+        starts = random.Random(3)
+        for seed in range(50):
+            s = BitVector(20, starts.getrandbits(20))
+            if energy(inst, s) == 0:
+                continue
+            assert frw_step(inst, s, RngSpec(seed)) == frw_run(inst, s, RngSpec(seed), 1).terminal
 
 
 class TestDriftProbability:

@@ -1,10 +1,8 @@
-import random
-
 import pytest
 
 from xorland import landscape
 from xorland.expansion import ExpansionParams, check_boundary_expander
-from xorland.gf2 import BitMatrix, BitVector, KernelTooLargeError
+from xorland.gf2 import BitVector, KernelTooLargeError
 from xorland.landscape import (
     Instance,
     barrier_to_ground,
@@ -127,24 +125,15 @@ class TestLocalMinima:
         assert fast == slow
 
 
-def _shifted_instance(k: int, n: int, seed: int) -> Instance:
-    """A k-regular instance built directly, since rejection sampling takes
-    seconds at k = 6: row i is {perm[(i + d) % n] : d in offsets}."""
-    rng = random.Random(seed)
-    offsets, perm = rng.sample(range(n), k), rng.sample(range(n), n)
-    supports = [[perm[(i + d) % n] for d in offsets] for i in range(n)]
-    return Instance(matrix=BitMatrix.from_row_supports(n, supports, k_regular=k), k=k)
-
-
 class TestLocalMinimaEngine:
     """The row-set enumeration against the naive and table-sweep oracles: same
     states in the same order."""
 
     @pytest.mark.parametrize("k,n,seed", [(3, 12, 0), (3, 14, 1), (4, 12, 2), (4, 14, 3),
                                           (5, 10, 4), (5, 12, 5), (6, 12, 6), (6, 13, 7)])
-    def test_against_naive_oracle(self, k, n, seed):
+    def test_against_naive_oracle(self, k, n, seed, shifted_instance):
         if k == 6:
-            inst = _shifted_instance(k, n, seed)
+            inst = shifted_instance(k, n, seed)
         else:
             inst = Instance.random(k, n, RngSpec(89).with_stream(seed))
         fast = enumerate_local_minima(inst)
