@@ -16,7 +16,6 @@ from .gf2 import (
     mul_vec,
     rank,
     solve_standard_basis,
-    weight,
 )
 from .landscape import (
     BarrierResult,
@@ -42,7 +41,6 @@ __all__ = [
     "BarrierResult",
     "RngSpec",
     "mul_vec",
-    "weight",
     "rank",
     "kernel_basis",
     "enumerate_kernel",

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 check failure, 2 usage error.  All randomness is
 controlled by --seed; per-trial streams make reports independent of
-scheduling, so --threads never changes any reported number.
+scheduling.
 """
 from __future__ import annotations
 
@@ -23,8 +23,6 @@ from .rng import RngSpec
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parser.add_argument("--stream", type=int, default=0, help="RNG stream index")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; results never depend on it")
     parser.add_argument("--json", metavar="PATH", help="write the report as JSON")
     parser.add_argument("--csv", metavar="PATH", help="write the report records as CSV")
 

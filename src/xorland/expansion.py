@@ -84,10 +84,6 @@ def boundary_lower_bound(rows_touched: int, total_ones: int) -> int:
     return 2 * rows_touched - total_ones
 
 
-def _subset_total(n: int, max_w: int) -> int:
-    return sum(comb(n, w) for w in range(1, max_w + 1))
-
-
 def check_boundary_expander(
     a: BitMatrix,
     params: ExpansionParams,
@@ -117,64 +113,45 @@ def check_boundary_expander(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _check_exact(a: BitMatrix, params: ExpansionParams, max_w: int, budget: int) -> ExpansionVerdict:
+def _subsets(a: BitMatrix, max_w: int, budget: int):
+    """Yield (chosen, boundary) for every column subset of size 1..max_w in
+    lexicographic preorder, after checking the budget.  ``chosen`` is the live
+    list of columns and ``boundary`` the number of rows with exactly one 1 in
+    them, updated in O(k) per column as row counts enter or leave 1.
+    """
     n = a.n_cols
-    required_total = _subset_total(n, max_w)
+    required_total = sum(comb(n, w) for w in range(1, max_w + 1))
     if required_total > budget:
         raise SubsetBudgetError(required_total, budget)
-    required = [0] + [params.required_boundary(w) for w in range(1, max_w + 1)]
-    k = params.k
-    cols = a.column_masks
-    checked = 0
-    chosen: list[int] = []
+    supports = [[i for i in range(a.n_rows) if col >> i & 1] for col in a.column_masks]
     counts = [0] * a.n_rows  # ones per row within the chosen columns
-
-    def boundary_now() -> int:
-        return sum(1 for i in range(a.n_rows) if counts[i] == 1)
-
-    def descend(start: int) -> ExpansionWitness | None:
-        nonlocal checked
-        depth = len(chosen)
-        for j in range(start, n):
-            mask = cols[j]
+    chosen: list[int] = []
+    boundary, j = 0, 0
+    while True:
+        if j < n and len(chosen) < max_w:
             chosen.append(j)
-            while mask:
-                low = mask & -mask
-                counts[low.bit_length() - 1] += 1
-                mask ^= low
-            checked += 1
-            w = depth + 1
-            b = boundary_now()
-            if b < required[w]:
-                return ExpansionWitness(tuple(chosen), b, required[w])
-            if w < max_w:
-                # If even k new boundary rows per added column cannot reach a
-                # later requirement, any completion violates; take the smallest.
-                hopeless = None
-                for w2 in range(w + 1, min(max_w, w + (n - 1 - j)) + 1):
-                    if b + (w2 - w) * k < required[w2]:
-                        hopeless = w2
-                        break
-                if hopeless is not None:
-                    extra = list(range(j + 1, j + 1 + hopeless - w))
-                    full = tuple(chosen) + tuple(extra)
-                    bb = boundary_count(a, full)
-                    if bb < required[hopeless]:
-                        return ExpansionWitness(full, bb, required[hopeless])
-                witness = descend(j + 1)
-                if witness is not None:
-                    return witness
-            mask = cols[j]
-            while mask:
-                low = mask & -mask
-                counts[low.bit_length() - 1] -= 1
-                mask ^= low
-            chosen.pop()
-        return None
+            step = 1
+        elif chosen:
+            j, step = chosen.pop(), -1
+        else:
+            return
+        for i in supports[j]:
+            boundary -= counts[i] == 1
+            counts[i] += step
+            boundary += counts[i] == 1
+        if step == 1:
+            yield chosen, boundary
+        j += 1
 
-    witness = descend(0)
-    if witness is not None:
-        return ExpansionVerdict(False, "exact", checked, witness)
+
+def _check_exact(a: BitMatrix, params: ExpansionParams, max_w: int, budget: int) -> ExpansionVerdict:
+    required = [0] + [params.required_boundary(w) for w in range(1, max_w + 1)]
+    checked = 0
+    for chosen, b in _subsets(a, max_w, budget):
+        checked += 1
+        if b < required[len(chosen)]:
+            witness = ExpansionWitness(tuple(chosen), b, required[len(chosen)])
+            return ExpansionVerdict(False, "exact", checked, witness)
     return ExpansionVerdict(True, "exact", checked)
 
 
@@ -197,39 +174,10 @@ def _check_sampled(
 
 def exact_expansion_profile(a: BitMatrix, max_w: int, budget: int = 10**7) -> list[int]:
     """Minimum boundary count over all subsets of each size 1..max_w (exact)."""
-    n = a.n_cols
-    required_total = _subset_total(n, max_w)
-    if required_total > budget:
-        raise SubsetBudgetError(required_total, budget)
-    cols = a.column_masks
-    best = [None] * (max_w + 1)
-    counts = [0] * a.n_rows
-    chosen: list[int] = []
-
-    def descend(start: int):
-        depth = len(chosen)
-        for j in range(start, n):
-            mask = cols[j]
-            chosen.append(j)
-            while mask:
-                low = mask & -mask
-                counts[low.bit_length() - 1] += 1
-                mask ^= low
-            w = depth + 1
-            b = sum(1 for i in range(a.n_rows) if counts[i] == 1)
-            if best[w] is None or b < best[w]:
-                best[w] = b
-            if w < max_w:
-                descend(j + 1)
-            mask = cols[j]
-            while mask:
-                low = mask & -mask
-                counts[low.bit_length() - 1] -= 1
-                mask ^= low
-            chosen.pop()
-
-    descend(0)
-    return [b if b is not None else 0 for b in best[1:]]
+    best: dict[int, int] = {}
+    for chosen, b in _subsets(a, max_w, budget):
+        best[len(chosen)] = min(b, best.get(len(chosen), b))
+    return [best.get(w, 0) for w in range(1, max_w + 1)]
 
 
 def expansion_failure_bound(k: int, n: int, w: int, delta) -> Fraction:

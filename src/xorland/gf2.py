@@ -170,16 +170,6 @@ class BitMatrix:
         return cls.from_rows([list(row) for row in array], k_regular)
 
 
-def weight(v: BitVector) -> int:
-    """Number of nonzero coordinates."""
-    return v.weight
-
-
-def distance(s: BitVector, t: BitVector) -> int:
-    """Hamming distance, the weight of the XOR."""
-    return (s ^ t).weight
-
-
 def mul_vec(a: BitMatrix, x: BitVector) -> BitVector:
     """Matrix-vector product over GF(2)."""
     if x.length != a.n_cols:
@@ -262,23 +252,6 @@ def enumerate_kernel(a: BitMatrix, cap: int) -> list[BitVector]:
     return vectors
 
 
-def _independent_row_indices(masks: Sequence[int]) -> list[int]:
-    """Lexicographically first maximal set of linearly independent rows."""
-    table: dict[int, int] = {}
-    chosen = []
-    for i, m in enumerate(masks):
-        cur = m
-        while cur:
-            lead = (cur & -cur).bit_length() - 1
-            if lead in table:
-                cur ^= table[lead]
-            else:
-                table[lead] = cur
-                chosen.append(i)
-                break
-    return chosen
-
-
 @dataclass(frozen=True)
 class StandardBasisSolution:
     """Vectors y with A y = e_j + r, with r supported on the dependent rows.
@@ -308,63 +281,29 @@ class StandardBasisSolution:
 
 
 def solve_standard_basis(a: BitMatrix) -> StandardBasisSolution:
-    """For each independent row j find y with A y = e_j + r.
+    """For each independent row j find y with A y = e_j + r, r free of independent rows.
 
-    The r vectors vanish on all independent rows, so after moving the
-    independent rows first they are supported on the trailing corank
-    positions only.  Works for any matrix; the corank is reported through
-    the returned index sets.
+    The independent columns P are the pivot columns of the row reduction.  A
+    second reduction, over the row coordinates, of the columns of P tagged with
+    their index (bit n_rows + c) pivots on the lexicographically first
+    independent rows I; the reduced row with pivot j holds e_j + r and, in its
+    tags, y, unique on P as A[I, P] is invertible.  Works for any matrix.
     """
-    n_rows, n_cols = a.n_rows, a.n_cols
-    # Independent columns: pivot columns of row elimination.
+    m, n_cols = a.n_rows, a.n_cols
     _, pivot_cols = _reduced_echelon(a.rows, n_cols)
-    r = len(pivot_cols)
-    col_pos = {c: t for t, c in enumerate(pivot_cols)}
-    # Restrict rows to the pivot columns (compressed coordinates).
-    compressed = []
-    for row in a.rows:
-        bits = 0
-        rem = row
-        while rem:
-            low = rem & -rem
-            j = low.bit_length() - 1
-            if j in col_pos:
-                bits |= 1 << col_pos[j]
-            rem ^= low
-        compressed.append(bits)
-    ind_rows = _independent_row_indices(compressed)
-    if len(ind_rows) != r:
-        raise AssertionError("row rank of column-restricted matrix must equal rank")
-    # Invert the r x r block via Gauss-Jordan on [B | I].
-    aug = [compressed[i] | (1 << (r + t)) for t, i in enumerate(ind_rows)]
-    reduced, pivots = _reduced_echelon(aug, 2 * r)
-    if pivots != list(range(r)):
-        raise AssertionError("independent block must be invertible")
-    inv_rows = [row >> r for row in reduced]  # row c holds row c of B^{-1}
-    mask_r = (1 << r) - 1
+    tagged = [a.column_masks[c] | 1 << (m + c) for c in pivot_cols]
+    reduced, ind_rows = _reduced_echelon(tagged, m)
+    ind_mask = sum(1 << j for j in ind_rows)
     triples = []
-    dep_rows = tuple(i for i in range(n_rows) if i not in set(ind_rows))
-    dep_row_mask = sum(1 << i for i in dep_rows)
-    for t, j in enumerate(ind_rows):
-        u = 0  # column t of B^{-1}, over compressed coordinates
-        for c in range(r):
-            if inv_rows[c] >> t & 1:
-                u |= 1 << c
-        y_bits = 0
-        for c in range(r):
-            if u >> c & 1:
-                y_bits |= 1 << pivot_cols[c]
-        y = BitVector(n_cols, y_bits)
-        ay = mul_vec(a, y)
-        r_vec = BitVector(n_rows, ay.bits ^ (1 << j))
-        if r_vec.bits & ~dep_row_mask:
-            raise AssertionError("residual vector leaks onto independent rows")
-        triples.append((y, r_vec, j))
-    dep_cols = tuple(j for j in range(n_cols) if j not in set(pivot_cols))
+    for row, j in zip(reduced, ind_rows):
+        r_bits = row & ((1 << m) - 1) ^ 1 << j
+        if r_bits & ind_mask:
+            raise AssertionError("residual vector has bits on independent rows")
+        triples.append((BitVector(n_cols, row >> m), BitVector(m, r_bits), j))
     return StandardBasisSolution(
         triples=tuple(triples),
         independent_rows=tuple(ind_rows),
-        dependent_rows=dep_rows,
+        dependent_rows=tuple(i for i in range(m) if not ind_mask >> i & 1),
         independent_cols=tuple(pivot_cols),
-        dependent_cols=dep_cols,
+        dependent_cols=tuple(sorted(set(range(n_cols)) - set(pivot_cols))),
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .gf2 import BitMatrix, BitVector
 from .landscape import Instance
-from .rng import RngSpec
+from .rng import PHILOX, RngSpec
 
 FORMAT_VERSION = 1
 
@@ -68,7 +68,10 @@ def read_instance(path: str | Path) -> Instance:
         if text.startswith("c"):
             parts = text.split()
             if len(parts) == 5 and parts[1] == "rng":
-                provenance = RngSpec(seed=int(parts[3]), stream=int(parts[4]), algorithm=parts[2])
+                try:
+                    provenance = RngSpec(seed=int(parts[3]), stream=int(parts[4]), algorithm=parts[2])
+                except ValueError:
+                    raise ParseError(f"expected 'c rng {PHILOX} <seed> <stream>'", lineno) from None
             elif len(parts) >= 3 and parts[1] == "src":
                 provenance = " ".join(parts[2:])
             continue

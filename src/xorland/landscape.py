@@ -24,7 +24,7 @@ from collections import deque
 import numpy as np
 
 from . import ensemble
-from .gf2 import BitMatrix, BitVector, State, _reduced_echelon, enumerate_kernel, mul_vec
+from .gf2 import BitMatrix, BitVector, State, enumerate_kernel, mul_vec, solve_standard_basis
 from .rng import RngSpec
 
 EXHAUSTIVE_CAP_DEFAULT = 26
@@ -123,24 +123,17 @@ def energy_table(inst: Instance, cap_n: int = EXHAUSTIVE_CAP_DEFAULT) -> np.ndar
     return np.bitwise_count(v)
 
 
-def _row_lifts(a: BitMatrix) -> list[tuple[int, int]]:
-    """(r_i, y_i) per row i with A y_i = e_i + r_i, r_i free of pivot rows: a row
-    set v is in the column space of A iff its r_i sum to 0, its y_i to a preimage."""
-    m = a.n_rows
-    aug = [col | 1 << (m + j) for j, col in enumerate(a.column_masks)]
-    lifts = [(1 << i, 0) for i in range(m)]
-    for row, p in zip(*_reduced_echelon(aug, m)):
-        lifts[p] = (row & ((1 << m) - 1) ^ 1 << p, row >> m)
-    return lifts
-
-
 def enumerate_local_minima(inst: Instance, cap_n: int = EXHAUSTIVE_CAP_DEFAULT) -> list[State]:
     """All local minima, sorted by state bits: a depth-first search over the row
     sets that load no column beyond (k - 1) // 2 (a downward-closed family),
     each lifted to a preimage and expanded by the kernel."""
     n, rows = inst.n, inst.matrix.rows
     _check_cap(n, cap_n)
-    lifts, limit, found = _row_lifts(inst.matrix), (inst.k - 1) // 2, []
+    # (r_i, y_i) per row i with A y_i = e_i + r_i and r_i free of independent
+    # rows: a row set is in the image iff its r_i sum to 0, its y_i to a preimage
+    lifts, limit, found = [(1 << i, 0) for i in range(n)], (inst.k - 1) // 2, []
+    for y, r, j in solve_standard_basis(inst.matrix).triples:
+        lifts[j] = (r.bits, y.bits)
 
     def extend(first: int, load: list[int], res: int, pre: int):
         # load[j]: the columns that at least j chosen rows meet

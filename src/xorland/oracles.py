@@ -2,7 +2,7 @@
 
 Everything here recomputes from first principles (direct parity counting,
 breadth-first threshold connectivity, literal-level clause evaluation, energy
-table sweeps) and shares no code with the implementations it checks.
+table sweeps, listed spans) and shares no code with the implementations it checks.
 """
 from __future__ import annotations
 
@@ -129,6 +129,33 @@ def naive_frw_run(
         steps += 1
     return (steps, BitVector(n, s), not violated, tuple(energies) if record_every else None,
             tuple(dists) if record_every and grounds is not None else None)
+
+
+def _first_independent(vectors: list[int]) -> list[int]:
+    """Indices of the vectors outside the span of those chosen before them,
+    by listing the span outright."""
+    chosen, span = [], {0}
+    for idx, v in enumerate(vectors):
+        if v not in span:
+            chosen.append(idx)
+            span |= {u ^ v for u in span}
+    return chosen
+
+
+def naive_standard_basis(rows: list[int], n_cols: int) -> tuple[list[int], list[int], list]:
+    """(independent rows, independent columns, (y, r, j) per independent row j):
+    y is the unique vector on the independent columns whose product agrees
+    with e_j on the independent rows, found by trying every such vector;
+    r = A y + e_j.  Small n only."""
+    cols = [sum((row >> c & 1) << i for i, row in enumerate(rows)) for c in range(n_cols)]
+    ind_rows, ind_cols = _first_independent(rows), _first_independent(cols)
+    on_ind = sum(1 << i for i in ind_rows)
+    solutions = {}  # A y on the independent rows -> every (y, A y) giving it
+    for pick in range(1 << len(ind_cols)):
+        y = sum(1 << c for t, c in enumerate(ind_cols) if pick >> t & 1)
+        ay = sum(((row & y).bit_count() % 2) << i for i, row in enumerate(rows))
+        solutions.setdefault(ay & on_ind, []).append((y, ay))
+    return ind_rows, ind_cols, [(y, ay ^ 1 << j, j) for j in ind_rows for y, ay in solutions[1 << j]]
 
 
 def parse_dimacs(path: str | Path) -> tuple[int, list[list[int]]]:

@@ -30,8 +30,7 @@ class TestGen:
     def test_gen_deterministic_under_seed(self, tmp_path):
         a, b = tmp_path / "a.xnf", tmp_path / "b.xnf"
         assert main(["gen", "--k", "3", "--n", "10", "--seed", "9", "--out", str(a)]) == 0
-        assert main(["gen", "--k", "3", "--n", "10", "--seed", "9", "--threads", "4",
-                     "--out", str(b)]) == 0
+        assert main(["gen", "--k", "3", "--n", "10", "--seed", "9", "--out", str(b)]) == 0
         assert a.read_text().replace("a.xnf", "") == b.read_text().replace("b.xnf", "")
 
 
@@ -89,6 +88,20 @@ class TestExpand:
         data = json.loads(out.read_text())
         assert data["summary"]["mode"] == "sampled"
         assert "not falsified" in data["summary"]["note"]
+
+
+    @pytest.mark.parametrize("name,source,omega,eta,code", [
+        ("expand_k3_n22_holds", "landscape_k3_n22", "4", "0.25", 0),
+        ("expand_k3_n22_violated", "landscape_k3_n22", "4", "0.5", 1),
+        ("expand_k4_n18_violated", "landscape_k4_n18", "4", "1", 1),
+    ])
+    def test_golden_exact_report(self, name, source, omega, eta, code, tmp_path):
+        # subsets_checked and the witness pin the order of the exact subset walk
+        infile, out = DATA / f"{source}.xnf", tmp_path / "e.json"
+        assert main(["expand", "--in", str(infile), "--omega", omega, "--eta", eta,
+                     "--mode", "exact", "--json", str(out)]) == code
+        report = out.read_text().replace(json.dumps(str(infile)), '"<infile>"')
+        assert report == (DATA / f"{name}.json").read_text()
 
 
 class TestCoeffs:
@@ -156,6 +169,23 @@ class TestWalkAndMinima:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["summary"]["m"] >= 1
+
+
+    @pytest.mark.parametrize("name", ["landscape_k3_n22", "landscape_k4_n18"])
+    def test_golden_family_report(self, name, tmp_path):
+        infile, out = DATA / f"{name}.xnf", tmp_path / "m.json"
+        assert main(["minima", "--in", str(infile), "--json", str(out)]) == 0
+        report = out.read_text().replace(json.dumps(str(infile)), '"<infile>"')
+        assert report == (DATA / f"{name.replace('landscape', 'minima')}.json").read_text()
+
+    def test_golden_far_minima_report(self, tmp_path):
+        # the instances above are too small for far minima; n = 200 is generated
+        infile, out = tmp_path / "far.xnf", tmp_path / "m.json"
+        assert main(["gen", "--k", "3", "--n", "200", "--seed", "1", "--out", str(infile)]) == 0
+        assert main(["minima", "--in", str(infile), "--beta", "0.1", "--gamma", "0.01",
+                     "--count", "3", "--json", str(out)]) == 0
+        report = out.read_text().replace(json.dumps(str(infile)), '"<infile>"')
+        assert report == (DATA / "minima_far_k3_n200.json").read_text()
 
 
 class TestCnfCommand:

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -92,9 +93,28 @@ class TestCheckBoundaryExpander:
 
 
 class TestExactModeAgainstNaiveEnumeration:
-    def test_verdicts_and_profiles_match_brute_force(self):
-        from itertools import combinations
+    """Exact mode walks the subsets as sorted tuples: (0,), (0, 1), (0, 1, 2), ...
+    A brute-force walk of that list must stop at the same subset, with the
+    same count, and count all of them when the property holds."""
 
+    @staticmethod
+    def _sorted_walk(a, params, max_w):
+        subsets = sorted(c for w in range(1, max_w + 1) for c in combinations(range(a.n_cols), w))
+        for checked, cols in enumerate(subsets, start=1):
+            mask = sum(1 << j for j in cols)
+            b = sum(1 for row in a.rows if (row & mask).bit_count() == 1)
+            if b < params.required_boundary(len(cols)):
+                return checked, (cols, b, params.required_boundary(len(cols)))
+        return len(subsets), None
+
+    @staticmethod
+    def _assert_same(verdict, walk):
+        checked, witness = walk
+        assert verdict.subsets_checked == checked
+        got = verdict.witness
+        assert (got.cols, got.boundary, got.required) == witness if got else witness is None
+
+    def test_verdicts_and_profiles_match_brute_force(self):
         gen = RngSpec(424242).generator()
         falsified = 0
         for _ in range(80):
@@ -108,22 +128,25 @@ class TestExactModeAgainstNaiveEnumeration:
             eta = Fraction(int(gen.integers(1, 13)), 10)
             params = ExpansionParams(k, omega, eta)
             verdict = check_boundary_expander(a, params, budget=10**6)
-            naive_holds = all(
-                boundary_count(a, cols) >= params.required_boundary(w)
-                for w in range(1, omega + 1)
-                for cols in combinations(range(n), w)
-            )
-            assert verdict.holds == naive_holds
-            if not verdict.holds:
-                falsified += 1
-                w = verdict.witness
-                assert boundary_count(a, w.cols) == w.boundary < w.required
+            self._assert_same(verdict, self._sorted_walk(a, params, omega))
+            falsified += not verdict.holds
             profile = exact_expansion_profile(a, min(3, n))
             for w in range(1, min(3, n) + 1):
                 assert profile[w - 1] == min(
                     boundary_count(a, cols) for cols in combinations(range(n), w)
                 )
         assert falsified >= 10  # both verdict kinds exercised
+
+    @pytest.mark.parametrize("k,n,seed", [(3, 12, 0), (3, 16, 1), (4, 13, 2), (5, 14, 3), (6, 16, 4)])
+    def test_k_regular_match_sorted_walk(self, shifted_instance, k, n, seed):
+        a = shifted_instance(k, n, seed).matrix
+        kinds = set()
+        for eta in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(k)):
+            params = ExpansionParams(k, 4, eta)
+            verdict = check_boundary_expander(a, params, mode="exact")
+            self._assert_same(verdict, self._sorted_walk(a, params, 4))
+            kinds.add(verdict.holds)
+        assert kinds == {True, False}
 
 
 class TestBoundaryLowerBound:

@@ -6,14 +6,13 @@ from xorland.gf2 import (
     BitMatrix,
     BitVector,
     KernelTooLargeError,
-    distance,
     enumerate_kernel,
     kernel_basis,
     mul_vec,
     rank,
     solve_standard_basis,
-    weight,
 )
+from xorland.oracles import naive_standard_basis
 
 
 @st.composite
@@ -39,9 +38,9 @@ class TestBitVector:
         assert v.support() == (0, 1, 2)
 
     def test_weights(self):
-        assert weight(BitVector.from01("0000")) == 0
-        assert weight(BitVector.from01("1110")) == 3
-        assert weight(BitVector.from01("1111")) == 4
+        assert BitVector.from01("0000").weight == 0
+        assert BitVector.from01("1110").weight == 3
+        assert BitVector.from01("1111").weight == 4
 
     def test_out_of_range_bits_rejected(self):
         with pytest.raises(ValueError):
@@ -59,7 +58,7 @@ class TestBitVector:
         x = BitVector(n, data.draw(st.integers(0, (1 << n) - 1)))
         y = BitVector(n, data.draw(st.integers(0, (1 << n) - 1)))
         z = BitVector(n, data.draw(st.integers(0, (1 << n) - 1)))
-        assert distance(x, z) <= distance(x, y) + distance(y, z)
+        assert (x ^ z).weight <= (x ^ y).weight + (y ^ z).weight
 
 
 class TestMulVec:
@@ -172,3 +171,41 @@ class TestSolveStandardBasis:
         assert len(sol.triples) == a.n_cols - sol.corank
         assert sorted(sol.row_order) == list(range(a.n_rows))
         assert sorted(sol.col_order) == list(range(a.n_cols))
+
+
+@st.composite
+def sparse_rectangular(draw, max_dim=10):
+    m, n = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    density = draw(st.sampled_from([0.15, 0.3, 0.5, 0.8]))
+    rows = tuple(
+        sum(1 << j for j in range(n) if draw(st.floats(0, 1)) < density) for _ in range(m)
+    )
+    return BitMatrix(m, n, rows)
+
+
+class TestStandardBasisOracle:
+    """solve_standard_basis against the brute-force oracle: the same index
+    sets and the unique y on the independent columns for every row."""
+
+    @staticmethod
+    def _agrees(a):
+        sol = solve_standard_basis(a)
+        ind_rows, ind_cols, triples = naive_standard_basis(list(a.rows), a.n_cols)
+        assert sol.independent_rows == tuple(ind_rows)
+        assert sol.independent_cols == tuple(ind_cols)
+        assert [(y.bits, r.bits, j) for y, r, j in sol.triples] == triples
+        return sol.corank
+
+    @given(sparse_rectangular())
+    @settings(max_examples=150)
+    def test_random_rectangular(self, a):
+        self._agrees(a)
+
+    def test_k_regular(self, shifted_instance):
+        coranks = {self._agrees(shifted_instance(k, n, seed).matrix)
+                   for k in (3, 4, 5, 6) for n in (7, 9, 12) for seed in range(4)}
+        assert max(coranks) >= 2  # dependent rows exercised
+
+    def test_dependent_and_zero_rows(self):
+        a = BitMatrix(5, 4, (0b0011, 0, 0b0110, 0b0101, 0b1000))
+        assert self._agrees(a) == 2

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xorland.gf2 import BitVector
 from xorland.instances import ParseError, Report, export_cnf, read_instance, write_instance
@@ -58,6 +62,45 @@ class TestInstanceFiles:
         with pytest.raises(ParseError) as err:
             read_instance(path)
         assert err.value.line == 2
+
+
+    @pytest.mark.parametrize("line", ["c rng philox4x64 abc 0", "c rng mt19937 1 0"])
+    def test_bad_rng_line_names_line(self, line, tmp_path):
+        path = tmp_path / "bad.xnf"
+        path.write_text(f"x 3 4\n{line}\n2 3 4\n1 3 4\n1 2 4\n1 2 3\n")
+        with pytest.raises(ParseError, match="rng") as err:
+            read_instance(path)
+        assert err.value.line == 2
+
+
+_EQS = ["2 3 4", "1 3 4", "1 2 4", "1 2 3"]
+_NUM = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "07", "1.5", "abc", "9" * 20])
+_LINE = st.lists(_NUM | st.sampled_from(["x", "c", "rng", "src", "\t"]), max_size=6).map(" ".join)
+_RNG = st.tuples(st.sampled_from(["philox4x64", "mt19937"]), _NUM, _NUM).map(
+    lambda t: "c rng " + " ".join(t))
+_FILES = st.one_of(
+    st.lists(_LINE, max_size=8),  # token soup
+    st.tuples(st.sampled_from(["x 3 4", "x 3 5", "x 4 4"]) | _LINE,
+              st.lists(st.sampled_from([*_EQS, "c src eq1"]) | _RNG | _LINE, max_size=8)
+              ).map(lambda t: [t[0], *t[1]]),  # a header, then valid and broken lines
+    st.tuples(st.permutations(_EQS), st.lists(_RNG, max_size=2)
+              ).map(lambda t: ["x 3 4", *t[1], *t[0]]),  # valid rows, any rng lines
+).map("\n".join)
+
+
+class TestReadInstanceFuzz:
+    @given(_FILES)
+    @settings(max_examples=300, deadline=None)
+    def test_round_trips_or_parse_error(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            src, copy = Path(tmp) / "in.xnf", Path(tmp) / "out.xnf"
+            src.write_text(text)
+            try:
+                inst = read_instance(src)
+            except ParseError:
+                return
+            write_instance(inst, copy)
+            assert read_instance(copy) == inst
 
 
 class TestCnfExport:
