@@ -7,6 +7,7 @@ scheduling.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import sys
@@ -275,33 +276,43 @@ def _cmd_expand(args) -> int:
     return 0 if verdict.holds else 1
 
 
+@contextlib.contextmanager
+def _unlimited_int_str():
+    """Lift CPython's int-to-str digit limit for exact values, then restore it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if not limit:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_coeffs(args) -> int:
     k, n = args.k, args.n
-    records = []
     if args.table == "B":
         table = enumerator.weight_enumerator_table(k, n)
-        for w, b in enumerate(table):
-            records.append({"w": w, "B": str(b)})
+        with _unlimited_int_str():
+            records = [{"w": w, "B": str(b)} for w, b in enumerate(table)]
         summary = {"nonzero": sum(1 for b in table if b)}
     elif args.table == "S":
         total, regions = enumerator.kernel_bound_sum(k, n, with_regions=True)
-        records.append({"n": n, "S_exact": f"{total.numerator}/{total.denominator}",
-                        "S_decimal": float(total)})
-        for tag, value in regions.items():
-            records.append({"region": tag.value, "partial_decimal": float(value)})
+        with _unlimited_int_str():
+            exact = f"{total.numerator}/{total.denominator}"
+        records = [{"n": n, "S_exact": exact, "S_decimal": float(total)}]
+        records += [{"region": tag.value, "partial_decimal": float(v)} for tag, v in regions.items()]
         summary = {"S": float(total), "limit": 4 if k % 2 == 0 else 2}
     elif args.table == "U":
-        for w in range(1, n + 1):
-            u = expansion.expansion_failure_bound(k, n, w, args.delta)
-            records.append({"w": w, "U_decimal": float(u)})
+        records = [{"w": w, "U_decimal": float(expansion.expansion_failure_bound(k, n, w, args.delta))}
+                   for w in range(1, n + 1)]
         summary = {"delta": str(args.delta)}
     else:
         table = enumerator.weight_enumerator_table(k, n)
-        for w in range(1, n):
-            if table[w] == 0:
-                continue
-            bound = enumerator.saddle_upper_bound(k, n, w, log=True)
-            records.append({"w": w, "log_B": math.log(table[w]), "log_saddle_bound": bound})
+        records = [{"w": w, "log_B": math.log(table[w]),
+                    "log_saddle_bound": enumerator.saddle_upper_bound(k, n, w, log=True)}
+                   for w in range(1, n) if table[w]]
         summary = {"dominated": all(r["log_B"] <= r["log_saddle_bound"] + 1e-12 for r in records)}
     report = Report("coeffs", {"k": k, "n": n, "table": args.table}, None,
                     records=records, summary=summary)

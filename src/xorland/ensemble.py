@@ -47,12 +47,6 @@ class Configuration:
         if sorted(self.pairing) != list(range(m)):
             raise ValueError("pairing must be a permutation of range(k*n)")
 
-    def left_cell(self, point: int) -> int:
-        return point // self.k
-
-    def right_cell(self, point: int) -> int:
-        return point // self.k
-
 
 def _validate_kn(k: int, n: int):
     if k < 3:

@@ -73,20 +73,8 @@ class IntPoly:
         return IntPoly.from_coeffs(self.coeffs[::2])
 
 
-def _mul_trunc(a: Sequence[int], b: Sequence[int], max_deg: int) -> list[int]:
-    out = [0] * (min(len(a) + len(b) - 1, max_deg + 1))
-    top = len(out)
-    for i, ai in enumerate(a):
-        if ai == 0 or i >= top:
-            continue
-        stop = min(len(b), top - i)
-        for j in range(stop):
-            out[i + j] += ai * b[j]
-    return out
-
-
 def poly_power_coeff(p: IntPoly, n: int, big_n: int) -> int:
-    """Exact coefficient of z**big_n in p(z)**n, by truncated repeated squaring."""
+    """Exact coefficient of z**big_n in p(z)**n, by Miller's recurrence."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if big_n < 0:
@@ -99,22 +87,35 @@ def poly_power_coeff(p: IntPoly, n: int, big_n: int) -> int:
 
 
 def poly_power_coeffs(p: IntPoly, n: int, max_deg: int) -> list[int]:
-    """Coefficients 0..max_deg of p(z)**n (truncated repeated squaring)."""
+    """Coefficients 0..max_deg of p(z)**n, by J.C.P. Miller's recurrence.
+
+    With p = z**s q(z) and q_0 != 0, p**n = z**(s n) q**n, and the
+    coefficients c_m of q**n satisfy (Knuth, TAOCP Vol. 2, 4.7)
+    m q_0 c_m = sum_{i=1..deg q} ((n+1) i - m) q_i c_{m-i}: deg q
+    small-by-big products and one exact division per coefficient.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if p.degree < 0:
         raise ValueError("zero polynomial")
-    result = [1]
-    base = list(p.coeffs[: max_deg + 1])
-    e = n
-    while e:
-        if e & 1:
-            result = _mul_trunc(result, base, max_deg)
-        e >>= 1
-        if e:
-            base = _mul_trunc(base, base, max_deg)
-    result += [0] * (max_deg + 1 - len(result))
-    return result
+    s = next(d for d, c in enumerate(p.coeffs) if c)
+    q, shift = p.coeffs[s:], s * n
+    out = [0] * (max_deg + 1)
+    top = min(max_deg - shift, n * (len(q) - 1))
+    if top < 0:
+        return out
+    c = [q[0] ** n]
+    for m in range(1, top + 1):
+        acc = 0
+        for i in range(1, min(len(q) - 1, m) + 1):
+            if q[i]:
+                acc += ((n + 1) * i - m) * q[i] * c[m - i]
+        value, rem = divmod(acc, m * q[0])
+        if rem:
+            raise ArithmeticError(f"inexact division at degree {m} of the power recurrence")
+        c.append(value)
+    out[shift : shift + top + 1] = c
+    return out
 
 
 def even_weight_poly(k: int) -> IntPoly:
@@ -136,28 +137,14 @@ def weight_enumerator(k: int, n: int, w: int) -> int:
     """
     if not 0 <= w <= n:
         raise ValueError("need 0 <= w <= n")
-    if (k * w) % 2:
-        return 0
-    half = even_weight_poly(k).halve_degrees()
-    target = k * w // 2
-    if target > n * half.degree:
-        return 0
-    return poly_power_coeffs(half, n, target)[target]
+    return weight_enumerator_table(k, n)[w]
 
 
 def weight_enumerator_table(k: int, n: int) -> list[int]:
     """B_k(n, w) for w = 0..n, sharing one power computation."""
     half = even_weight_poly(k).halve_degrees()
-    max_half_deg = min(k * n // 2, n * half.degree)
-    table = poly_power_coeffs(half, n, max_half_deg)
-    out = []
-    for w in range(n + 1):
-        if (k * w) % 2:
-            out.append(0)
-        else:
-            t = k * w // 2
-            out.append(table[t] if t <= max_half_deg else 0)
-    return out
+    table = poly_power_coeffs(half, n, k * n // 2)
+    return [0 if (k * w) % 2 else table[k * w // 2] for w in range(n + 1)]
 
 
 class RegionTag(enum.Enum):
@@ -189,27 +176,35 @@ class KernelBoundSum(NamedTuple):
     regions: dict | None
 
 
+def _tree_sum(terms: list[Fraction]) -> Fraction:
+    """Pairwise sum, so that the large additions meet operands of like size."""
+    while len(terms) > 1:
+        pairs = [a + b for a, b in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[len(pairs) * 2:]
+    return terms[0] if terms else Fraction(0)
+
+
 def kernel_bound_sum(k: int, n: int, with_regions: bool = False) -> KernelBoundSum:
     """S_k(n) = sum_w C(n,w) * B_k(n,w) / C(kn,kw), as an exact rational.
 
     Converges to 2 for odd k and to 4 for even k.  With ``with_regions``
     the per-region partial sums (which add up to the total exactly) are
-    returned as well.
+    returned as well.  The binomials are stepped from w to w + 1 by their
+    term ratios, and each region's terms are summed as a balanced tree.
     """
     if n < k:
         raise ValueError("need n >= k")
     table = weight_enumerator_table(k, n)
-    total = Fraction(0)
-    regions = {tag: Fraction(0) for tag in RegionTag} if with_regions else None
-    for w in range(n + 1):
-        b = table[w]
-        if b == 0:
-            continue
-        term = Fraction(comb(n, w) * b, comb(k * n, k * w))
-        total += term
-        if regions is not None:
-            regions[region_of(k, n, w)] += term
-    return KernelBoundSum(total, regions)
+    terms = {tag: [] for tag in RegionTag}
+    c_n = c_kn = 1  # C(n, w) and C(kn, kw)
+    for w, b in enumerate(table):
+        if b:
+            terms[region_of(k, n, w)].append(Fraction(c_n * b, c_kn))
+        c_n = c_n * (n - w) // (w + 1)
+        for j in range(k * w, k * w + k):
+            c_kn = c_kn * (k * n - j) // (j + 1)
+    regions = {tag: _tree_sum(part) for tag, part in terms.items()}
+    return KernelBoundSum(sum(regions.values(), Fraction(0)), regions if with_regions else None)
 
 
 def kernel_expectation_bound(k: int, n: int, rho) -> Fraction:

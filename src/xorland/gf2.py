@@ -159,9 +159,6 @@ class BitMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.rows[i] >> j & 1
 
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.n_cols, self.n_rows, self.column_masks, self.k_regular)
-
     def to_dense(self) -> list[list[int]]:
         return [[self.rows[i] >> j & 1 for j in range(self.n_cols)] for i in range(self.n_rows)]
 
@@ -283,27 +280,28 @@ class StandardBasisSolution:
 def solve_standard_basis(a: BitMatrix) -> StandardBasisSolution:
     """For each independent row j find y with A y = e_j + r, r free of independent rows.
 
-    The independent columns P are the pivot columns of the row reduction.  A
-    second reduction, over the row coordinates, of the columns of P tagged with
-    their index (bit n_rows + c) pivots on the lexicographically first
-    independent rows I; the reduced row with pivot j holds e_j + r and, in its
-    tags, y, unique on P as A[I, P] is invertible.  Works for any matrix.
+    One reduction, over the row coordinates, of all columns tagged with their
+    index (bit n_rows + c) pivots on the lexicographically first independent
+    rows I.  A column becomes a pivot only outside the span of the columns
+    before it, so the y span the greedy independent columns P.  The reduced
+    row with pivot j holds e_j + r and, in its tags, y, unique on P as
+    A[I, P] is invertible.  Works for any matrix.
     """
     m, n_cols = a.n_rows, a.n_cols
-    _, pivot_cols = _reduced_echelon(a.rows, n_cols)
-    tagged = [a.column_masks[c] | 1 << (m + c) for c in pivot_cols]
+    tagged = [col | 1 << (m + c) for c, col in enumerate(a.column_masks)]
     reduced, ind_rows = _reduced_echelon(tagged, m)
     ind_mask = sum(1 << j for j in ind_rows)
-    triples = []
+    triples, col_mask = [], 0
     for row, j in zip(reduced, ind_rows):
         r_bits = row & ((1 << m) - 1) ^ 1 << j
         if r_bits & ind_mask:
             raise AssertionError("residual vector has bits on independent rows")
         triples.append((BitVector(n_cols, row >> m), BitVector(m, r_bits), j))
+        col_mask |= row >> m
     return StandardBasisSolution(
         triples=tuple(triples),
         independent_rows=tuple(ind_rows),
         dependent_rows=tuple(i for i in range(m) if not ind_mask >> i & 1),
-        independent_cols=tuple(pivot_cols),
-        dependent_cols=tuple(sorted(set(range(n_cols)) - set(pivot_cols))),
+        independent_cols=tuple(c for c in range(n_cols) if col_mask >> c & 1),
+        dependent_cols=tuple(c for c in range(n_cols) if not col_mask >> c & 1),
     )

@@ -79,10 +79,6 @@ def energy(inst: Instance, s: State) -> int:
     return mul_vec(inst.matrix, s).weight
 
 
-def violated_rows(inst: Instance, s: State) -> BitVector:
-    return mul_vec(inst.matrix, s)
-
-
 def ground_states(inst: Instance, cap: int = KERNEL_CAP_DEFAULT) -> list[State]:
     """All zero-energy states: exactly the kernel of the matrix."""
     return enumerate_kernel(inst.matrix, cap)

@@ -2,7 +2,8 @@
 
 Everything here recomputes from first principles (direct parity counting,
 breadth-first threshold connectivity, literal-level clause evaluation, energy
-table sweeps, listed spans) and shares no code with the implementations it checks.
+table sweeps, listed spans, schoolbook polynomial products) and shares no code
+with the implementations it checks.
 """
 from __future__ import annotations
 
@@ -156,6 +157,15 @@ def naive_standard_basis(rows: list[int], n_cols: int) -> tuple[list[int], list[
         ay = sum(((row & y).bit_count() % 2) << i for i, row in enumerate(rows))
         solutions.setdefault(ay & on_ind, []).append((y, ay))
     return ind_rows, ind_cols, [(y, ay ^ 1 << j, j) for j in ind_rows for y, ay in solutions[1 << j]]
+
+
+def _mul_trunc(a: list[int], b: list[int], max_deg: int) -> list[int]:
+    """Schoolbook product of two coefficient lists, truncated above max_deg."""
+    out = [0] * (min(len(a) + len(b) - 1, max_deg + 1))
+    for i, ai in enumerate(a[: len(out)]):
+        for j, bj in enumerate(b[: len(out) - i]):
+            out[i + j] += ai * bj
+    return out
 
 
 def parse_dimacs(path: str | Path) -> tuple[int, list[list[int]]]:

@@ -40,8 +40,3 @@ class RngSpec:
 
     def to_dict(self) -> dict:
         return {"algorithm": self.algorithm, "seed": self.seed, "stream": self.stream}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RngSpec":
-        return cls(seed=int(data["seed"]), stream=int(data.get("stream", 0)),
-                   algorithm=data.get("algorithm", PHILOX))

@@ -1,9 +1,11 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from xorland.cli import main
+from xorland.enumerator import kernel_bound_sum, weight_enumerator_table
 from xorland.instances import read_instance, write_instance
 from xorland.landscape import Instance
 from xorland.rng import RngSpec
@@ -127,6 +129,38 @@ class TestCoeffs:
                      "--json", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["summary"]["dominated"] is True
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("table", ["S", "B", "bounds"])
+    def test_golden_report(self, k, table, tmp_path):
+        # recorded with the repeated-squaring engine and per-term binomials
+        out = tmp_path / "c.json"
+        assert main(["coeffs", "--k", str(k), "--n", "30", "--table", table, "--json", str(out)]) == 0
+        assert out.read_text() == (DATA / f"coeffs_{table}_k{k}_n30.json").read_text()
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no int-to-str digit limit")
+    @pytest.mark.parametrize("table,n", [("S", 800), ("B", 1500)])
+    def test_exact_values_beyond_digit_limit(self, table, n, tmp_path):
+        # S_3(800) has a 879-digit numerator and B_3(1500, w) reaches 902 digits
+        if table == "S":
+            total = kernel_bound_sum(3, n).total
+            expected = [f"{total.numerator}/{total.denominator}"]
+        else:
+            expected = [str(b) for b in weight_enumerator_table(3, n)]
+        assert max(len(x) for x in expected) > 640
+        out = tmp_path / "c.json"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = main(["coeffs", "--k", "3", "--n", str(n), "--table", table, "--json", str(out)])
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        records = json.loads(out.read_text())["records"]
+        key = "S_exact" if table == "S" else "B"
+        assert [r[key] for r in records if key in r] == expected
 
 
 class TestWalkAndMinima:

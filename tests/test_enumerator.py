@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from math import comb
 
@@ -26,6 +27,7 @@ from xorland.enumerator import (
     weight_enumerator,
     weight_enumerator_table,
 )
+from xorland.oracles import _mul_trunc
 
 
 class TestIntPoly:
@@ -91,6 +93,53 @@ class TestPolyPowerCoeff:
             assert poly_power_coeff(p, n, big_n) == comb(n, big_n) * 3**big_n
 
 
+def _oracle_power(coeffs, n, max_deg):
+    """Coefficients 0..max_deg of p**n by n schoolbook products."""
+    acc = [1]
+    for _ in range(n):
+        acc = _mul_trunc(acc, list(coeffs), max_deg)
+    return acc + [0] * (max_deg + 1 - len(acc))
+
+
+class TestPolyPowerOracle:
+    """Miller's recurrence against repeated schoolbook products."""
+
+    @pytest.mark.parametrize("coeffs,n,max_deg", [
+        ([1, -1], 9, 9),          # negative coefficient
+        ([1, -1], 9, 4),
+        ([0, 0, 2, 1], 5, 15),    # zero constant term: p = z**2 (2 + z)
+        ([0, 0, 2, 1], 5, 12),    # max_deg below n * deg p
+        ([0, 0, 2, 1], 5, 9),     # max_deg below the lowest nonzero degree s * n
+        ([0, 0, 2, 1], 5, 20),    # max_deg above n * deg p
+        ([7], 4, 3),              # constant
+        ([-3], 3, 0),
+        ([2, -5, 0, 4], 1, 6),    # n = 1
+        ([2, -5, 0, 4], 1, 2),
+        ([-2, 0, 3], 6, 30),      # negative constant term
+    ])
+    def test_edge_cases(self, coeffs, n, max_deg):
+        p = IntPoly.from_coeffs(coeffs)
+        assert poly_power_coeffs(p, n, max_deg) == _oracle_power(coeffs, n, max_deg)
+
+    def test_random_polynomials(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            coeffs = [rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(rng.randint(1, 6))]
+            coeffs[-1] = coeffs[-1] or rng.choice([-1, 1])
+            n = rng.randint(1, 12)
+            max_deg = rng.randint(0, n * (len(coeffs) - 1) + 3)
+            p = IntPoly.from_coeffs(coeffs)
+            assert poly_power_coeffs(p, n, max_deg) == _oracle_power(coeffs, n, max_deg)
+
+    def test_weight_enumerator_table(self):
+        for k in (3, 4, 5, 6):
+            half = list(even_weight_poly(k).halve_degrees().coeffs)
+            for n in (k, 11, 24):
+                power = _oracle_power(half, n, k * n // 2)
+                expected = [0 if k * w % 2 else power[k * w // 2] for w in range(n + 1)]
+                assert weight_enumerator_table(k, n) == expected
+
+
 class TestWeightEnumerator:
     def test_odd_kw_is_zero(self):
         assert weight_enumerator(3, 4, 1) == 0
@@ -120,10 +169,19 @@ class TestKernelBoundSum:
         assert total == 1 + Fraction(54, 77)
 
     def test_regions_add_up(self):
-        for k in (3, 4):
-            for n in (10, 17, 25):
+        for k in (3, 4, 5, 6):
+            for n in range(k, 61):
                 total, regions = kernel_bound_sum(k, n, with_regions=True)
                 assert sum(regions.values(), Fraction(0)) == total
+
+    def test_against_direct_binomials(self):
+        # the stepped binomials and tree sums against per-term comb and a running sum
+        for k in (3, 4, 5, 6):
+            for n in (k, 13, 40):
+                table = weight_enumerator_table(k, n)
+                direct = sum((Fraction(comb(n, w) * b, comb(k * n, k * w))
+                              for w, b in enumerate(table)), Fraction(0))
+                assert kernel_bound_sum(k, n).total == direct
 
     def test_convergence_direction(self):
         s_small = kernel_bound_sum(3, 30).total
