@@ -19,7 +19,10 @@ def exact_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(str(x))
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {x!r} as an exact fraction")
 
 

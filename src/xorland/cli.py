@@ -1,8 +1,9 @@
 """Command-line interface: instance I/O, experiments, tables, verification.
 
-Exit codes: 0 success, 1 check failure, 2 usage error.  All randomness is
-controlled by --seed; per-trial streams make reports independent of
-scheduling.
+Exit codes: 0 success, 1 check failure, 2 usage error.  The commands that
+draw random numbers (gen, walk, expand) take --seed and --stream; per-trial
+streams make reports independent of scheduling.  Every command but cnf
+writes its report with --json and --csv.
 """
 from __future__ import annotations
 
@@ -12,18 +13,19 @@ import dataclasses
 import math
 import sys
 
-import numpy as np
-
 from . import enumerator, expansion, frw, landscape, minima
-from .gf2 import BitVector, kernel_basis, rank
+from .gf2 import kernel_basis
 from .instances import Report, export_cnf, read_instance, write_instance
 from .landscape import Instance
 from .rng import RngSpec
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_rng(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
     parser.add_argument("--stream", type=int, default=0, help="RNG stream index")
+
+
+def _add_report(parser: argparse.ArgumentParser):
     parser.add_argument("--json", metavar="PATH", help="write the report as JSON")
     parser.add_argument("--csv", metavar="PATH", help="write the report records as CSV")
 
@@ -40,19 +42,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-tries", type=int, default=None)
-    _add_common(p)
+    _add_rng(p)
+    _add_report(p)
 
     p = sub.add_parser("kernel", help="rank, kernel basis, and ground states")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--cap", type=int, default=1 << 16, help="kernel enumeration cap")
-    _add_common(p)
+    _add_report(p)
 
     p = sub.add_parser("landscape", help="exhaustive local minima and barriers")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--cap", type=int, default=landscape.EXHAUSTIVE_CAP_DEFAULT,
                    help="exhaustive state cap (log2)")
     p.add_argument("--no-barriers", action="store_true", help="skip barrier computation")
-    _add_common(p)
+    _add_report(p)
 
     p = sub.add_parser("minima", help="constructive local-minima families")
     p.add_argument("--in", dest="infile", required=True)
@@ -60,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", default=None, help="far-minima distance parameter")
     p.add_argument("--gamma", default=None, help="far-minima generator density")
     p.add_argument("--count", type=int, default=1)
-    _add_common(p)
+    _add_report(p)
 
     p = sub.add_parser("walk", help="focused random walk runs and experiments")
     p.add_argument("--in", dest="infile", help="single-instance mode")
@@ -70,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--cap", type=int, default=10**6)
     p.add_argument("--max-tries", type=int, default=None)
-    _add_common(p)
+    _add_rng(p)
+    _add_report(p)
 
     p = sub.add_parser("expand", help="boundary-expansion verification")
     p.add_argument("--in", dest="infile", required=True)
@@ -78,24 +82,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", required=True)
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     p.add_argument("--budget", type=int, default=10**6)
-    _add_common(p)
+    _add_rng(p)
+    _add_report(p)
 
     p = sub.add_parser("coeffs", help="exact tables: B, S, U, and saddle bounds")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--table", choices=("B", "S", "U", "bounds"), default="S")
     p.add_argument("--delta", default="0.5", help="delta for the U table")
-    _add_common(p)
+    _add_report(p)
 
     p = sub.add_parser("cnf", help="export an instance as DIMACS CNF")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--suite", choices=("acceptance",), default="acceptance")
     p.add_argument("--only", default=None, help="comma-separated criterion numbers")
-    _add_common(p)
+    _add_report(p)
 
     return parser
 
@@ -128,18 +132,18 @@ def _cmd_gen(args) -> int:
 
 def _cmd_kernel(args) -> int:
     inst = read_instance(args.infile)
-    r = rank(inst.matrix)
     basis = kernel_basis(inst.matrix)
+    r = inst.n - len(basis)
     grounds = landscape.ground_states(inst, cap=args.cap)
     report = Report(
         experiment="kernel",
         parameters={"infile": args.infile, "k": inst.k, "n": inst.n},
         rng=inst.provenance if isinstance(inst.provenance, RngSpec) else None,
         records=[{"ground_state": g.to01(), "weight": g.weight} for g in grounds],
-        summary={"rank": r, "corank": inst.n - r, "kernel_size": len(grounds),
+        summary={"rank": r, "corank": len(basis), "kernel_size": len(grounds),
                  "basis": [b.to01() for b in basis]},
     )
-    print(f"rank {r}, corank {inst.n - r}, kernel size {len(grounds)}")
+    print(f"rank {r}, corank {len(basis)}, kernel size {len(grounds)}")
     return _finish(report, args)
 
 
@@ -232,12 +236,12 @@ def _cmd_walk(args) -> int:
     if not args.infile:
         print("error: walk needs --in or --experiment", file=sys.stderr)
         return 2
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
     inst = read_instance(args.infile)
     records = []
     for t in range(args.trials):
-        trial = spec.with_stream(spec.stream + 1 + t)
-        s0 = BitVector(inst.n, int(trial.generator(jump=1).integers(0, 1 << inst.n, dtype=np.uint64)))
-        trace = frw.frw_run(inst, s0, trial, args.cap)
+        s0, trace = frw._trial(inst, spec.with_stream(spec.stream + 1 + t), args.cap)
         records.append({"trial": t, "start": s0.to01(), "steps": trace.steps,
                         "hit_ground": trace.hit_ground})
         print(f"trial {t}: steps={trace.steps} hit_ground={trace.hit_ground}")

@@ -72,11 +72,15 @@ def induced_matrix(cfg: Configuration) -> tuple[np.ndarray, bool]:
 
 
 def _simple_rows(perms: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Boolean mask of which batched pairings induce a 0/1 matrix."""
-    left = np.arange(k * n) // k
-    codes = left[np.newaxis, :] * n + perms // k
-    codes = np.sort(codes, axis=1)
-    return ~(codes[:, 1:] == codes[:, :-1]).any(axis=1)
+    """Boolean mask of which batched pairings induce a 0/1 matrix: no left
+    cell meets one right cell twice, checked over the k(k-1)/2 pairs of its
+    points.  cells[i] holds the right cell of point i of every left cell."""
+    cells = (perms // k).astype(np.int32).reshape(-1, n, k).transpose(2, 0, 1).copy()
+    clash = np.zeros(cells.shape[1:], dtype=bool)
+    for i in range(1, k):
+        for j in range(i):
+            clash |= cells[i] == cells[j]
+    return ~clash.any(axis=1)
 
 
 def _matrix_from_perm(perm: np.ndarray, k: int, n: int) -> BitMatrix:

@@ -13,6 +13,7 @@ state, so any chunking yields the same stream, and the same walk.
 """
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -162,16 +163,23 @@ class HittingSummary:
     mean_steps_success: float | None
 
 
+def _trial(inst: Instance, rng: RngSpec, cap: int) -> tuple[State, WalkTrace]:
+    """One walk of at most ``cap`` steps from a uniform start drawn on rng's jump-1 stream."""
+    if inst.n > 64:
+        raise ValueError("uniform initial states are drawn as 64-bit words; n must be <= 64")
+    s0 = BitVector(inst.n, int(rng.generator(jump=1).integers(0, 1 << inst.n, dtype=np.uint64)))
+    return s0, frw_run(inst, s0, rng, cap)
+
+
 def frw_experiment(
     k: int,
     n_list: Sequence[int],
     trials: int,
     cap: int,
     rng: RngSpec,
-    instances_per_n: int = 1,
     max_tries: int | None = None,
 ) -> list[HittingSummary]:
-    """Hitting-time experiment: fresh uniform start per trial, shared instances.
+    """Hitting-time experiment: one instance per n, a fresh uniform start per trial.
 
     Per-(n, trial) RNG streams are jump-indexed off the master spec, so
     the summaries do not depend on execution order.  Censored runs (cap
@@ -181,38 +189,16 @@ def frw_experiment(
         raise ValueError("trials must be >= 1")
     if trials * len(n_list) >= 1_000_000:
         raise ValueError("too many trials for the stream layout")
-    if any(n > 63 for n in n_list):
-        raise ValueError("uniform initial states are drawn as 64-bit words; n must be <= 63")
     # Each master stream owns a disjoint window of derived streams, so two
     # experiments with different streams (same seed) never share draws.
     base = rng.stream * 2_000_003
     summaries = []
     for ni, n in enumerate(n_list):
-        instances = [
-            Instance.random(k, n, rng.with_stream(base + 1_000_000 + 1000 * ni + j), max_tries)
-            for j in range(instances_per_n)
-        ]
-        steps_eff: list[int] = []
-        successes = 0
-        success_steps = []
-        for t in range(trials):
-            inst = instances[t % instances_per_n]
-            trial_rng = rng.with_stream(base + 1 + ni * trials + t)
-            s0 = BitVector(n, int(trial_rng.generator(jump=1).integers(0, 1 << n, dtype=np.uint64)))
-            trace = frw_run(inst, s0, trial_rng, cap)
-            if trace.hit_ground:
-                successes += 1
-                success_steps.append(trace.steps)
-                steps_eff.append(trace.steps)
-            else:
-                steps_eff.append(cap)
-        steps_eff.sort()
-        mid = len(steps_eff) // 2
-        median = (
-            float(steps_eff[mid])
-            if len(steps_eff) % 2
-            else (steps_eff[mid - 1] + steps_eff[mid]) / 2.0
-        )
+        inst = Instance.random(k, n, rng.with_stream(base + 1_000_000 + 1000 * ni), max_tries)
+        traces = [_trial(inst, rng.with_stream(base + 1 + ni * trials + t), cap)[1]
+                  for t in range(trials)]
+        success_steps = [tr.steps for tr in traces if tr.hit_ground]
+        successes = len(success_steps)
         summaries.append(
             HittingSummary(
                 n=n,
@@ -221,7 +207,8 @@ def frw_experiment(
                 successes=successes,
                 censored=trials - successes,
                 success_fraction=successes / trials,
-                median_steps_effective=median,
+                # a walk that misses the ground stops at the cap: censored runs count as the cap
+                median_steps_effective=float(statistics.median(tr.steps for tr in traces)),
                 mean_steps_success=(sum(success_steps) / successes) if successes else None,
             )
         )

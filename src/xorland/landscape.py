@@ -289,7 +289,6 @@ def bottleneck_height(
     """Exact bottleneck height and barrier between two states."""
     if s.length != inst.n or t.length != inst.n:
         raise ValueError("state length mismatch")
-    _check_cap(inst.n, cap_n)
     energies = energy_table(inst, cap_n)
 
     def joined(tr):
@@ -298,37 +297,35 @@ def bottleneck_height(
 
     tree = _MergeTree(energies, inst.n, joined)
     a, b = (int(tree.node_of[x.bits]) for x in (s, t))
-    h = max(int(energies[s.bits]), int(energies[t.bits]), int(tree.height[tree.lca(a, b)]))
+    e_s = int(energies[s.bits])
+    h = max(e_s, int(energies[t.bits]), int(tree.height[tree.lca(a, b)]))
     path = _witness_path(energies, inst.n, s.bits, t.bits, h) if witness else None
-    return BarrierResult(s=s, t=t, height=h, barrier=h - energy(inst, s), witness_path=path)
+    return BarrierResult(s=s, t=t, height=h, barrier=h - e_s, witness_path=path)
 
 
 def barrier_to_ground(
     inst: Instance,
     s: State,
     cap_n: int = EXHAUSTIVE_CAP_DEFAULT,
-    kernel_cap: int = KERNEL_CAP_DEFAULT,
     witness: bool = False,
 ) -> BarrierResult:
     """Minimum bottleneck height from s to any ground state."""
-    return barriers_to_ground(inst, [s], cap_n, kernel_cap, witness)[0]
+    return barriers_to_ground(inst, [s], cap_n, witness)[0]
 
 
 def barriers_to_ground(
     inst: Instance,
     states: list[State],
     cap_n: int = EXHAUSTIVE_CAP_DEFAULT,
-    kernel_cap: int = KERNEL_CAP_DEFAULT,
     witness: bool = False,
 ) -> list[BarrierResult]:
     """Barriers from each state to its nearest-in-height ground state.
 
     All states share one merge tree, grown until each state's component
     holds a ground state.  The reported t is the lowest-bits ground state
-    in the first connecting component.
+    in the first connecting component.  The ground states are the merge
+    tree's level-0 states; no kernel is enumerated.
     """
-    _check_cap(inst.n, cap_n)
-    ground_states(inst, kernel_cap)  # enforces the kernel cap
     energies = energy_table(inst, cap_n)
     bits = np.array([s.bits for s in states], dtype=np.int64)
 
@@ -340,10 +337,9 @@ def barriers_to_ground(
     results = []
     for s in states:
         top = tree.grounded(int(tree.node_of[s.bits]))
-        h = max(int(energies[s.bits]), int(tree.height[top]))
+        e_s = int(energies[s.bits])
+        h = max(e_s, int(tree.height[top]))
         t = BitVector(inst.n, int(tree.ground[top]))
         path = _witness_path(energies, inst.n, s.bits, t.bits, h) if witness else None
-        results.append(
-            BarrierResult(s=s, t=t, height=h, barrier=h - energy(inst, s), witness_path=path)
-        )
+        results.append(BarrierResult(s=s, t=t, height=h, barrier=h - e_s, witness_path=path))
     return results

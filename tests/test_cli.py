@@ -1,9 +1,12 @@
+import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from xorland import cli
 from xorland.cli import main
 from xorland.enumerator import kernel_bound_sum, weight_enumerator_table
 from xorland.instances import read_instance, write_instance
@@ -73,6 +76,14 @@ class TestLandscape:
         assert main(["landscape", "--in", str(infile), "--no-barriers", "--json", str(out)]) == 0
         report = out.read_text().replace(json.dumps(str(infile)), '"<infile>"')
         assert report == (DATA / f"{name}.json").read_text()
+
+    @pytest.mark.parametrize("name", ["landscape_k3_n22", "landscape_k4_n18"])
+    def test_golden_barrier_report(self, name, tmp_path):
+        # recorded while barriers_to_ground still enumerated the kernel to enforce a cap
+        infile, out = DATA / f"{name}.xnf", tmp_path / "l.json"
+        assert main(["landscape", "--in", str(infile), "--json", str(out)]) == 0
+        report = out.read_text().replace(json.dumps(str(infile)), '"<infile>"')
+        assert report == (DATA / f"{name}_barriers.json").read_text()
 
 
 class TestExpand:
@@ -194,6 +205,17 @@ class TestWalkAndMinima:
         report = out.read_text().replace(infile, '"<infile>"')
         assert report == (DATA / f"{name}.json").read_text()
 
+    def test_walk_zero_trials_is_one(self, eq1_file, capsys):
+        assert main(["walk", "--in", str(eq1_file), "--trials", "0"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: trials must be >= 1"]
+
+    def test_walk_oversized_n_is_one(self, tmp_path, capsys):
+        infile = tmp_path / "n70.xnf"
+        write_instance(Instance.random(3, 70, RngSpec(1)), infile)
+        assert main(["walk", "--in", str(infile), "--trials", "1", "--cap", "10"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "64-bit" in line
+
     def test_minima_subcommand(self, tmp_path):
         src = tmp_path / "m.xnf"
         inst = Instance.random(3, 40, RngSpec(7))
@@ -243,6 +265,16 @@ class TestExitCodes:
     def test_missing_file_is_one(self, tmp_path):
         assert main(["kernel", "--in", str(tmp_path / "missing.xnf")]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--in", "{infile}", "--omega", "2", "--eta", "1/0"],
+        ["minima", "--in", "{infile}", "--beta", "1/0", "--gamma", "0.1"],
+        ["coeffs", "--k", "3", "--n", "10", "--table", "U", "--delta", "1/0"],
+    ])
+    def test_zero_denominator_is_one(self, argv, eq1_file, capsys):
+        assert main([a.format(infile=eq1_file) for a in argv]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: '1/0' has a zero denominator"
+
     def test_malformed_file_is_one(self, tmp_path):
         bad = tmp_path / "bad.xnf"
         bad.write_text("x 3 4\n1 1 2\n1 2 3\n1 2 4\n2 3 4\n")
@@ -259,3 +291,18 @@ class TestVerifySubcommand:
         assert data["records"][0]["passed"] is True
         captured = capsys.readouterr()
         assert "criterion 1" in captured.out
+
+
+def test_every_option_is_read():
+    # an option its handler never reads is a dead flag; --json/--csv are read by _finish
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    for command, parser in subparsers.choices.items():
+        source = inspect.getsource(cli._HANDLERS[command])
+        for action in parser._actions:
+            if action.dest == "help":
+                continue
+            if action.dest in ("json", "csv"):
+                assert "_finish(" in source, (command, action.dest)
+            else:
+                assert f"args.{action.dest}" in source, (command, action.dest)

@@ -10,6 +10,7 @@ from xorland.ensemble import (
     MaxTriesExceededError,
     default_max_tries,
     estimate_simple_probability,
+    _simple_rows,
     induced_matrix,
     sample_configuration,
     sample_k_regular,
@@ -150,3 +151,22 @@ class TestSimpleProbability:
         est = estimate_simple_probability(3, 20, trials, RngSpec(37))
         # Both are binomial draws from the same distribution; crude sanity band.
         assert abs(est.fraction - hits / trials) < 0.2
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_simple_rows_match_induced_matrix(self, k):
+        # uniform pairings (simple with probability ~exp(-(k-1)^2/2)) and a
+        # simple circulant pairing, relabelled and hit by 0-2 transpositions
+        n = 2 * k + 3
+        gen = RngSpec(53).with_stream(k).generator()
+        circulant = np.array([(i + j) % n * k + j for i in range(n) for j in range(k)])
+        perms = [gen.permutation(k * n) for _ in range(100)]
+        for t in range(300):
+            p = gen.permutation(n)[circulant // k] * k + circulant % k
+            for _ in range(t % 3):
+                a, b = gen.integers(0, k * n, size=2)
+                p[[a, b]] = p[[b, a]]
+            perms.append(p)
+        mask = _simple_rows(np.array(perms), k, n)
+        assert mask.tolist() == [induced_matrix(Configuration(k, n, tuple(p.tolist())))[1]
+                                 for p in perms]
+        assert 100 < mask.sum() < len(perms) - 50

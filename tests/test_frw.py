@@ -248,6 +248,10 @@ class TestExperiment:
         b = frw_experiment(3, [8], trials=3, cap=10**5, rng=RngSpec(43, stream=2))
         assert a != b
 
+    def test_n64_runs(self):
+        (s,) = frw_experiment(3, [64], trials=1, cap=10, rng=RngSpec(1))
+        assert s.n == 64 and s.trials == 1
+
     def test_oversized_n_rejected(self):
         with pytest.raises(ValueError, match="64-bit"):
             frw_experiment(3, [70], trials=1, cap=10, rng=RngSpec(1))
