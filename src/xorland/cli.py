@@ -66,13 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report(p)
 
     p = sub.add_parser("walk", help="focused random walk runs and experiments")
-    p.add_argument("--in", dest="infile", help="single-instance mode")
-    p.add_argument("--experiment", action="store_true", help="hitting-time experiment")
-    p.add_argument("--k", type=int, default=6)
-    p.add_argument("--n-list", default="12,18,24")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--in", dest="infile", help="single-instance mode")
+    mode.add_argument("--experiment", action="store_true", help="hitting-time experiment")
+    p.add_argument("--k", type=int, help="experiment only (default 6)")
+    p.add_argument("--n-list", help="experiment only (default 12,18,24)")
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--cap", type=int, default=10**6)
-    p.add_argument("--max-tries", type=int, default=None)
+    p.add_argument("--max-tries", type=int, help="experiment only")
     _add_rng(p)
     _add_report(p)
 
@@ -221,20 +222,24 @@ def _cmd_minima(args) -> int:
 def _cmd_walk(args) -> int:
     spec = RngSpec(seed=args.seed, stream=args.stream)
     if args.experiment:
-        n_list = [int(tok) for tok in args.n_list.split(",") if tok]
-        summaries = frw.frw_experiment(args.k, n_list, args.trials, args.cap, spec,
+        k = 6 if args.k is None else args.k
+        n_text = "12,18,24" if args.n_list is None else args.n_list
+        n_list = [int(tok) for tok in n_text.split(",") if tok]
+        summaries = frw.frw_experiment(k, n_list, args.trials, args.cap, spec,
                                        max_tries=args.max_tries)
         records = [dataclasses.asdict(s) for s in summaries]
         for s in summaries:
             print(f"n={s.n}: median steps {s.median_steps_effective:.0f}, "
                   f"{s.censored}/{s.trials} censored at cap {s.cap}")
         report = Report("walk-experiment",
-                        {"k": args.k, "n_list": n_list, "trials": args.trials, "cap": args.cap},
+                        {"k": k, "n_list": n_list, "trials": args.trials, "cap": args.cap},
                         spec, records=records,
                         summary={"medians": [s.median_steps_effective for s in summaries]})
         return _finish(report, args)
-    if not args.infile:
-        print("error: walk needs --in or --experiment", file=sys.stderr)
+    mixed = [opt for opt, value in (("--k", args.k), ("--n-list", args.n_list),
+                                    ("--max-tries", args.max_tries)) if value is not None]
+    if mixed:
+        print(f"error: {', '.join(mixed)} apply only to walk --experiment", file=sys.stderr)
         return 2
     if args.trials < 1:
         raise ValueError("trials must be >= 1")

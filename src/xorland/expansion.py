@@ -113,20 +113,21 @@ def check_boundary_expander(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _subsets(a: BitMatrix, max_w: int, budget: int):
-    """Yield (chosen, boundary) for every column subset of size 1..max_w in
-    lexicographic preorder, after checking the budget.  ``chosen`` is the live
-    list of columns and ``boundary`` the number of rows with exactly one 1 in
-    them, updated in O(k) per column as row counts enter or leave 1.
+def _check_exact(a: BitMatrix, params: ExpansionParams, max_w: int, budget: int) -> ExpansionVerdict:
+    """Check every column subset of size 1..max_w in lexicographic preorder,
+    after checking the budget, and stop at the first whose boundary falls
+    short.  The boundary, the number of rows with exactly one 1 in the chosen
+    columns, is updated in O(k) per column as row counts enter or leave 1.
     """
     n = a.n_cols
     required_total = sum(comb(n, w) for w in range(1, max_w + 1))
     if required_total > budget:
         raise SubsetBudgetError(required_total, budget)
-    supports = [[i for i in range(a.n_rows) if col >> i & 1] for col in a.column_masks]
+    required = [0] + [params.required_boundary(w) for w in range(1, max_w + 1)]
+    supports = a.column_supports
     counts = [0] * a.n_rows  # ones per row within the chosen columns
     chosen: list[int] = []
-    boundary, j = 0, 0
+    boundary = j = checked = 0
     while True:
         if j < n and len(chosen) < max_w:
             chosen.append(j)
@@ -134,25 +135,17 @@ def _subsets(a: BitMatrix, max_w: int, budget: int):
         elif chosen:
             j, step = chosen.pop(), -1
         else:
-            return
+            return ExpansionVerdict(True, "exact", checked)
         for i in supports[j]:
             boundary -= counts[i] == 1
             counts[i] += step
             boundary += counts[i] == 1
         if step == 1:
-            yield chosen, boundary
+            checked += 1
+            if boundary < required[len(chosen)]:
+                witness = ExpansionWitness(tuple(chosen), boundary, required[len(chosen)])
+                return ExpansionVerdict(False, "exact", checked, witness)
         j += 1
-
-
-def _check_exact(a: BitMatrix, params: ExpansionParams, max_w: int, budget: int) -> ExpansionVerdict:
-    required = [0] + [params.required_boundary(w) for w in range(1, max_w + 1)]
-    checked = 0
-    for chosen, b in _subsets(a, max_w, budget):
-        checked += 1
-        if b < required[len(chosen)]:
-            witness = ExpansionWitness(tuple(chosen), b, required[len(chosen)])
-            return ExpansionVerdict(False, "exact", checked, witness)
-    return ExpansionVerdict(True, "exact", checked)
 
 
 def _check_sampled(
@@ -170,14 +163,6 @@ def _check_sampled(
             if b < req:
                 return ExpansionVerdict(False, "sampled", checked, ExpansionWitness(tuple(sorted(cols)), b, req))
     return ExpansionVerdict(True, "sampled", checked)
-
-
-def exact_expansion_profile(a: BitMatrix, max_w: int, budget: int = 10**7) -> list[int]:
-    """Minimum boundary count over all subsets of each size 1..max_w (exact)."""
-    best: dict[int, int] = {}
-    for chosen, b in _subsets(a, max_w, budget):
-        best[len(chosen)] = min(b, best.get(len(chosen), b))
-    return [best.get(w, 0) for w in range(1, max_w + 1)]
 
 
 def expansion_failure_bound(k: int, n: int, w: int, delta) -> Fraction:

@@ -61,8 +61,7 @@ def frw_step(inst: Instance, s: State, rng: RngSpec | np.random.Generator) -> St
     if v == 0:
         raise ValueError("state has energy 0: no violated equation to focus on")
     r1, r2 = gen.integers(0, 1 << 63, size=2, dtype=np.int64).tolist()
-    support = inst.matrix.row_vector(_select(v, r1 % v.bit_count())).support()
-    return s.flip(support[r2 % inst.k])
+    return s.flip(inst.matrix.row_supports[_select(v, r1 % v.bit_count())][r2 % inst.k])
 
 
 def frw_run(
@@ -84,8 +83,7 @@ def frw_run(
     if s0.length != inst.n:
         raise ValueError("state length mismatch")
     n, k = inst.n, inst.k
-    cols = inst.matrix.column_masks
-    supports = [inst.matrix.row_vector(i).support() for i in range(n)]
+    cols, supports = inst.matrix.column_masks, inst.matrix.row_supports
     s = s0.bits
     v = mul_vec(inst.matrix, s0).bits
     gen = rng.generator()
@@ -163,10 +161,14 @@ class HittingSummary:
     mean_steps_success: float | None
 
 
+def _check_start_width(n: int):
+    if n > 64:
+        raise ValueError("uniform initial states are drawn as 64-bit words; n must be <= 64")
+
+
 def _trial(inst: Instance, rng: RngSpec, cap: int) -> tuple[State, WalkTrace]:
     """One walk of at most ``cap`` steps from a uniform start drawn on rng's jump-1 stream."""
-    if inst.n > 64:
-        raise ValueError("uniform initial states are drawn as 64-bit words; n must be <= 64")
+    _check_start_width(inst.n)
     s0 = BitVector(inst.n, int(rng.generator(jump=1).integers(0, 1 << inst.n, dtype=np.uint64)))
     return s0, frw_run(inst, s0, rng, cap)
 
@@ -189,6 +191,7 @@ def frw_experiment(
         raise ValueError("trials must be >= 1")
     if trials * len(n_list) >= 1_000_000:
         raise ValueError("too many trials for the stream layout")
+    _check_start_width(max(n_list, default=0))  # before the first instance is sampled
     # Each master stream owns a disjoint window of derived streams, so two
     # experiments with different streams (same seed) never share draws.
     base = rng.stream * 2_000_003

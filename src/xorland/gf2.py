@@ -23,6 +23,15 @@ class KernelTooLargeError(ValueError):
         self.cap = cap
 
 
+def _set_bits(x: int) -> tuple[int, ...]:
+    """Indices of the set bits of x, ascending, one step per set bit."""
+    out = []
+    while x:
+        out.append((x & -x).bit_length() - 1)
+        x &= x - 1
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class BitVector:
     """Immutable GF(2) column vector of fixed length."""
@@ -69,7 +78,7 @@ class BitVector:
         return self.bits >> j & 1
 
     def support(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.length) if self.bits >> j & 1)
+        return _set_bits(self.bits)
 
     def flip(self, j: int) -> "BitVector":
         if not 0 <= j < self.length:
@@ -146,15 +155,20 @@ class BitMatrix:
     def column_masks(self) -> tuple[int, ...]:
         """Column j as a bit mask over row indices."""
         cols = [0] * self.n_cols
-        for i, r in enumerate(self.rows):
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= 1 << i
-                r ^= low
+        for i, support in enumerate(self.row_supports):
+            for j in support:
+                cols[j] |= 1 << i
         return tuple(cols)
 
-    def row_vector(self, i: int) -> BitVector:
-        return BitVector(self.n_cols, self.rows[i])
+    @cached_property
+    def row_supports(self) -> tuple[tuple[int, ...], ...]:
+        """Row i as its ascending column indices."""
+        return tuple(_set_bits(r) for r in self.rows)
+
+    @cached_property
+    def column_supports(self) -> tuple[tuple[int, ...], ...]:
+        """Column j as its ascending row indices."""
+        return tuple(_set_bits(c) for c in self.column_masks)
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i] >> j & 1
@@ -235,18 +249,10 @@ def enumerate_kernel(a: BitMatrix, cap: int) -> list[BitVector]:
     dim = len(basis)
     if (1 << dim) > cap:
         raise KernelTooLargeError(dim, cap)
-    vectors = []
-    for idx in range(1 << dim):
-        bits = 0
-        rem = idx
-        pos = 0
-        while rem:
-            if rem & 1:
-                bits ^= basis[pos].bits
-            rem >>= 1
-            pos += 1
-        vectors.append(BitVector(a.n_cols, bits))
-    return vectors
+    vectors = [0]  # vectors[idx]: the XOR of the basis vectors at the set bits of idx
+    for b in basis:
+        vectors += [v ^ b.bits for v in vectors]
+    return [BitVector(a.n_cols, v) for v in vectors]
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,7 @@ def write_instance(inst: Instance, path: str | Path):
         lines.append(f"c rng {p.algorithm} {p.seed} {p.stream}")
     elif isinstance(inst.provenance, str) and inst.provenance:
         lines.append(f"c src {inst.provenance}")
-    for i in range(inst.n):
-        support = inst.matrix.row_vector(i).support()
+    for support in inst.matrix.row_supports:
         lines.append(" ".join(str(j + 1) for j in support))
     path.write_text("\n".join(lines) + "\n")
 
@@ -92,15 +91,11 @@ def read_instance(path: str | Path) -> Instance:
         raise ParseError("empty file", 1)
     if len(supports) != n:
         raise ParseError(f"expected {n} equation lines, found {len(supports)}", lineno if supports else 1)
-    counts = [0] * n
-    for support in supports:
-        for j in support:
-            counts[j] += 1
-    for j, c in enumerate(counts):
-        if c != k:
-            raise ParseError(f"column {j + 1} appears in {c} equations, expected {k}", 1)
-    matrix = BitMatrix.from_row_supports(n, supports, k_regular=k)
-    return Instance(matrix=matrix, k=k, provenance=provenance)
+    matrix = BitMatrix.from_row_supports(n, supports)
+    for j, col in enumerate(matrix.column_supports):
+        if len(col) != k:
+            raise ParseError(f"column {j + 1} appears in {len(col)} equations, expected {k}", 1)
+    return Instance(matrix=BitMatrix(n, n, matrix.rows, k_regular=k), k=k, provenance=provenance)
 
 
 def export_cnf(inst: Instance, path: str | Path):
@@ -114,8 +109,7 @@ def export_cnf(inst: Instance, path: str | Path):
     path = Path(path)
     n, k = inst.n, inst.k
     out = [f"p cnf {n} {n * (1 << (k - 1))}"]
-    for i in range(n):
-        support = inst.matrix.row_vector(i).support()
+    for support in inst.matrix.row_supports:
         for pattern in range(1 << k):
             if pattern.bit_count() % 2 == 0:
                 continue

@@ -35,8 +35,8 @@ def mark_rows(a: BitMatrix, j: int) -> frozenset[int]:
     """
     if not 0 <= j < a.n_rows:
         raise ValueError(f"row index {j} out of range")
-    target = a.rows[j]
-    return frozenset(i for i, row in enumerate(a.rows) if row & target)
+    cols = a.column_supports
+    return frozenset(i for c in a.row_supports[j] for i in cols[c])
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,9 @@ def build_family(a: BitMatrix, d_cap: int = 8) -> MinimaFamily:
     marked = 0
     selected: list[tuple[BitVector, int]] = []
     for y, _, j in group:
-        marks = 0
-        for i in mark_rows(a, j):
-            marks |= 1 << i
+        marks = 0  # mark_rows(a, j) as a mask over rows
+        for c in a.row_supports[j]:
+            marks |= a.column_masks[c]
         if marks & marked == 0:
             marked |= marks
             selected.append((y, j))
@@ -122,12 +122,14 @@ def build_family(a: BitMatrix, d_cap: int = 8) -> MinimaFamily:
 
 
 def _verify_family(a, y_vectors, selected_rows, common_r, z_vectors):
-    seen = set()
+    seen = 0
     for y, j in zip(y_vectors, selected_rows):
         expect = (1 << j) ^ common_r.bits
         if mul_vec(a, y).bits != expect:
             raise AssertionError("family identity A y = e_j + r failed")
-        marks = mark_rows(a, j)
+        marks = 0
+        for c in a.row_supports[j]:
+            marks |= a.column_masks[c]
         if marks & seen:
             raise AssertionError("marked row sets are not pairwise disjoint")
         seen |= marks
@@ -285,13 +287,8 @@ def select_far_minima(
     entries = []
     for subset in range(1, count + 1):
         bits = 0
-        rem = subset
-        pos = 0
-        while rem:
-            if rem & 1:
-                bits ^= z[reserved[pos]].bits
-            rem >>= 1
-            pos += 1
+        for pos in BitVector(gamma_count, subset).support():
+            bits ^= z[reserved[pos]].bits
         u = BitVector(n, bits)
         corrected = False
         correction = None

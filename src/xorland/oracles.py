@@ -2,8 +2,8 @@
 
 Everything here recomputes from first principles (direct parity counting,
 breadth-first threshold connectivity, literal-level clause evaluation, energy
-table sweeps, listed spans, schoolbook polynomial products) and shares no code
-with the implementations it checks.
+table sweeps, listed spans, listed column subsets, schoolbook polynomial
+products) and shares no code with the implementations it checks.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gf2 import BitVector, State
+from .gf2 import BitMatrix, BitVector, State
 from .landscape import Instance
 from .rng import RngSpec
 
@@ -157,6 +157,16 @@ def naive_standard_basis(rows: list[int], n_cols: int) -> tuple[list[int], list[
         ay = sum(((row & y).bit_count() % 2) << i for i, row in enumerate(rows))
         solutions.setdefault(ay & on_ind, []).append((y, ay))
     return ind_rows, ind_cols, [(y, ay ^ 1 << j, j) for j in ind_rows for y, ay in solutions[1 << j]]
+
+
+def exact_expansion_profile(a: BitMatrix, max_w: int) -> list[int]:
+    """Least number of rows with exactly one 1 in w columns, for w = 1..max_w
+    (0 past n_cols), over every listed w-subset.  Small n only."""
+    def boundary(cols):
+        mask = sum(1 << c for c in cols)
+        return sum((row & mask).bit_count() == 1 for row in a.rows)
+    return [min(map(boundary, itertools.combinations(range(a.n_cols), w)), default=0)
+            for w in range(1, max_w + 1)]
 
 
 def _mul_trunc(a: list[int], b: list[int], max_deg: int) -> list[int]:

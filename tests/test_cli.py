@@ -205,6 +205,33 @@ class TestWalkAndMinima:
         report = out.read_text().replace(infile, '"<infile>"')
         assert report == (DATA / f"{name}.json").read_text()
 
+    def test_walk_modes_exclusive(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["walk", "--in", str(tmp_path / "missing.xnf"), "--experiment",
+                  "--k", "3", "--n-list", "8", "--trials", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "not allowed with argument" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["walk", "--trials", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("extra,named", [
+        (["--k", "5"], "--k"),
+        (["--n-list", "99", "--max-tries", "1"], "--n-list, --max-tries"),
+    ])
+    def test_walk_experiment_options_rejected_with_in(self, extra, named, eq1_file, capsys):
+        assert main(["walk", "--in", str(eq1_file), "--trials", "1", *extra]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {named} apply only to walk --experiment"]
+
+    def test_walk_experiment_oversized_n_is_one(self, capsys):
+        assert main(["walk", "--experiment", "--k", "3", "--n-list", "10,70",
+                     "--trials", "1", "--cap", "10"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "64-bit" in line
+
     def test_walk_zero_trials_is_one(self, eq1_file, capsys):
         assert main(["walk", "--in", str(eq1_file), "--trials", "0"]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: trials must be >= 1"]

@@ -13,12 +13,12 @@ from xorland.expansion import (
     boundary_lower_bound,
     check_boundary_expander,
     default_beta,
-    exact_expansion_profile,
     expansion_failure_bound,
     expansion_failure_exponent,
 )
 from xorland.gf2 import BitMatrix, enumerate_kernel
 from xorland.landscape import Instance
+from xorland.oracles import exact_expansion_profile
 from xorland.rng import RngSpec
 from xorland._util import entropy, frac_floor
 

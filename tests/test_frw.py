@@ -255,3 +255,10 @@ class TestExperiment:
     def test_oversized_n_rejected(self):
         with pytest.raises(ValueError, match="64-bit"):
             frw_experiment(3, [70], trials=1, cap=10, rng=RngSpec(1))
+
+    def test_oversized_n_rejected_before_sampling(self, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(Instance, "random", classmethod(lambda cls, *args: sampled.append(args)))
+        with pytest.raises(ValueError, match="64-bit"):
+            frw_experiment(3, [10, 70], trials=1, cap=10, rng=RngSpec(1))
+        assert sampled == []

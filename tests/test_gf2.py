@@ -209,3 +209,31 @@ class TestStandardBasisOracle:
     def test_dependent_and_zero_rows(self):
         a = BitMatrix(5, 4, (0b0011, 0, 0b0110, 0b0101, 0b1000))
         assert self._agrees(a) == 2
+
+
+class TestIndexLists:
+    """row_supports and column_supports against the ascending positions of
+    the ones in to_dense(), read along rows and along columns."""
+
+    @staticmethod
+    def _agrees(a):
+        dense = a.to_dense()
+        rows = tuple(tuple(j for j, x in enumerate(row) if x) for row in dense)
+        cols = tuple(tuple(i for i, row in enumerate(dense) if row[j]) for j in range(a.n_cols))
+        assert a.row_supports == rows
+        assert a.column_supports == cols
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_k_regular(self, shifted_instance, k):
+        for n, seed in [(k + 1, k), (13, 2 * k), (40, 3 * k)]:
+            self._agrees(shifted_instance(k, n, seed).matrix)
+
+    def test_identity_and_zeros(self):
+        for a in (BitMatrix.identity(1), BitMatrix.identity(9), BitMatrix.zeros(3, 5),
+                  BitMatrix.zeros(5, 3)):
+            self._agrees(a)
+
+    @given(sparse_rectangular())
+    @settings(max_examples=100)
+    def test_random_rectangular(self, a):
+        self._agrees(a)

@@ -41,6 +41,18 @@ class TestMarkRows:
             for j in range(30):
                 assert len(mark_rows(inst.matrix, j)) <= 3 * 2 + 1
 
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_against_scan_of_all_rows(self, shifted_instance, k):
+        for n, seed in [(k + 2, k), (17, 2 * k), (45, 3 * k)]:
+            a = shifted_instance(k, n, seed).matrix
+            for j in range(n):
+                assert mark_rows(a, j) == {i for i in range(n) if a.rows[i] & a.rows[j]}
+
+    def test_row_index_checked(self, eq1_matrix):
+        for j in (-1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                mark_rows(eq1_matrix, j)
+
 
 class TestBuildFamily:
     def test_worked_example(self, eq1_matrix):
