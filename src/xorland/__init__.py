@@ -20,7 +20,6 @@ from .gf2 import (
 from .landscape import (
     BarrierResult,
     Instance,
-    barrier_to_ground,
     barriers_to_ground,
     bottleneck_height,
     energy,
@@ -54,7 +53,6 @@ __all__ = [
     "is_local_minimum",
     "enumerate_local_minima",
     "bottleneck_height",
-    "barrier_to_ground",
     "barriers_to_ground",
     "__version__",
 ]

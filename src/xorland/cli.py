@@ -47,22 +47,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="rank, kernel basis, and ground states")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cap", type=int, default=1 << 16, help="kernel enumeration cap")
     _add_report(p)
 
     p = sub.add_parser("landscape", help="exhaustive local minima and barriers")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cap", type=int, default=landscape.EXHAUSTIVE_CAP_DEFAULT,
-                   help="exhaustive state cap (log2)")
     p.add_argument("--no-barriers", action="store_true", help="skip barrier computation")
     _add_report(p)
 
     p = sub.add_parser("minima", help="constructive local-minima families")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--d-cap", type=int, default=8)
-    p.add_argument("--beta", default=None, help="far-minima distance parameter")
-    p.add_argument("--gamma", default=None, help="far-minima generator density")
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--beta", help="far-minima distance parameter (with --gamma)")
+    p.add_argument("--gamma", help="far-minima generator density (with --beta)")
+    p.add_argument("--count", type=int, help="far minima to build (default 1)")
     _add_report(p)
 
     p = sub.add_parser("walk", help="focused random walk runs and experiments")
@@ -90,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--table", choices=("B", "S", "U", "bounds"), default="S")
-    p.add_argument("--delta", default="0.5", help="delta for the U table")
+    p.add_argument("--delta", help="delta for the U table (default 0.5)")
     _add_report(p)
 
     p = sub.add_parser("cnf", help="export an instance as DIMACS CNF")
@@ -98,11 +95,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--suite", choices=("acceptance",), default="acceptance")
     p.add_argument("--only", default=None, help="comma-separated criterion numbers")
     _add_report(p)
 
     return parser
+
+
+def _given(args, *options: str) -> list[str]:
+    """The options among ``options`` that were set on the command line."""
+    return [opt for opt in options if getattr(args, opt[2:].replace("-", "_")) is not None]
+
+
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _finish(report: Report, args) -> int:
@@ -135,7 +141,7 @@ def _cmd_kernel(args) -> int:
     inst = read_instance(args.infile)
     basis = kernel_basis(inst.matrix)
     r = inst.n - len(basis)
-    grounds = landscape.ground_states(inst, cap=args.cap)
+    grounds = landscape.ground_states(inst)
     report = Report(
         experiment="kernel",
         parameters={"infile": args.infile, "k": inst.k, "n": inst.n},
@@ -151,13 +157,13 @@ def _cmd_kernel(args) -> int:
 def _cmd_landscape(args) -> int:
     inst = read_instance(args.infile)
     grounds = landscape.ground_states(inst)
-    states = landscape.enumerate_local_minima(inst, cap_n=args.cap)
+    states = landscape.enumerate_local_minima(inst)
     records = []
     if args.no_barriers:
         for s in states:
             records.append({"state": s.to01(), "energy": landscape.energy(inst, s)})
     else:
-        for res in landscape.barriers_to_ground(inst, states, cap_n=args.cap):
+        for res in landscape.barriers_to_ground(inst, states):
             records.append({
                 "state": res.s.to01(),
                 "energy": landscape.energy(inst, res.s),
@@ -185,6 +191,9 @@ def _cmd_landscape(args) -> int:
 
 
 def _cmd_minima(args) -> int:
+    far = _given(args, "--beta", "--gamma", "--count")
+    if far and (args.beta is None or args.gamma is None):
+        return _usage_error(f"{', '.join(far)} need both --beta and --gamma")
     inst = read_instance(args.infile)
     fam = minima.build_family(inst.matrix, d_cap=args.d_cap)
     summary = {
@@ -196,8 +205,9 @@ def _cmd_minima(args) -> int:
         "selected_rows": list(fam.selected_rows),
     }
     records = []
-    if args.beta is not None and args.gamma is not None:
-        sel = minima.select_far_minima(fam, inst, args.beta, args.gamma, count=args.count)
+    if far:
+        count = 1 if args.count is None else args.count
+        sel = minima.select_far_minima(fam, inst, args.beta, args.gamma, count=count)
         for e in sel.entries:
             records.append({
                 "state": e.state.to01(),
@@ -236,11 +246,9 @@ def _cmd_walk(args) -> int:
                         spec, records=records,
                         summary={"medians": [s.median_steps_effective for s in summaries]})
         return _finish(report, args)
-    mixed = [opt for opt, value in (("--k", args.k), ("--n-list", args.n_list),
-                                    ("--max-tries", args.max_tries)) if value is not None]
+    mixed = _given(args, "--k", "--n-list", "--max-tries")
     if mixed:
-        print(f"error: {', '.join(mixed)} apply only to walk --experiment", file=sys.stderr)
-        return 2
+        return _usage_error(f"{', '.join(mixed)} apply only to walk --experiment")
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     inst = read_instance(args.infile)
@@ -300,6 +308,8 @@ def _unlimited_int_str():
 
 
 def _cmd_coeffs(args) -> int:
+    if args.delta is not None and args.table != "U":
+        return _usage_error("--delta applies only to --table U")
     k, n = args.k, args.n
     if args.table == "B":
         table = enumerator.weight_enumerator_table(k, n)
@@ -314,9 +324,10 @@ def _cmd_coeffs(args) -> int:
         records += [{"region": tag.value, "partial_decimal": float(v)} for tag, v in regions.items()]
         summary = {"S": float(total), "limit": 4 if k % 2 == 0 else 2}
     elif args.table == "U":
-        records = [{"w": w, "U_decimal": float(expansion.expansion_failure_bound(k, n, w, args.delta))}
+        delta = "0.5" if args.delta is None else args.delta
+        records = [{"w": w, "U_decimal": float(expansion.expansion_failure_bound(k, n, w, delta))}
                    for w in range(1, n + 1)]
-        summary = {"delta": str(args.delta)}
+        summary = {"delta": delta}
     else:
         table = enumerator.weight_enumerator_table(k, n)
         records = [{"w": w, "log_B": math.log(table[w]),
@@ -347,7 +358,7 @@ def _cmd_verify(args) -> int:
         only = {int(tok) for tok in args.only.split(",") if tok}
     results = acceptance.run_criteria(only=only)
     failed = [r for r in results if not r.passed]
-    report = Report("verify", {"suite": args.suite, "only": sorted(only) if only else None},
+    report = Report("verify", {"only": sorted(only) if only else None},
                     None,
                     records=[{"criterion": r.number, "title": r.title, "passed": r.passed,
                               "elapsed_s": round(r.elapsed, 2), "details": r.details}

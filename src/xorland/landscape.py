@@ -27,9 +27,13 @@ from . import ensemble
 from .gf2 import BitMatrix, BitVector, State, enumerate_kernel, mul_vec, solve_standard_basis
 from .rng import RngSpec
 
-EXHAUSTIVE_CAP_DEFAULT = 26
-KERNEL_CAP_DEFAULT = 1 << 16
-_NO_GROUND = np.iinfo(np.int64).max
+EXHAUSTIVE_CAP = 26
+KERNEL_CAP = 1 << 16
+# Bytes per state a barrier sweep holds: the uint8 table, the int32 node map
+# and the uint8 witness marks (building the table holds a uint32 temporary
+# and the table, 5).  Per-level index arrays come on top.
+_SWEEP_BYTES_PER_STATE = 6
+_NO_MARK = np.iinfo(np.int64).max
 _UNSEEN = 255
 
 
@@ -46,10 +50,7 @@ class Instance:
         if a.n_rows != a.n_cols:
             raise ValueError("instance matrix must be square")
         if a.k_regular is None:
-            if any(r.bit_count() != self.k for r in a.rows) or any(
-                c.bit_count() != self.k for c in a.column_masks
-            ):
-                raise ValueError(f"matrix is not {self.k}-regular")
+            BitMatrix(a.n_rows, a.n_cols, a.rows, self.k)  # raises unless k-regular
         elif a.k_regular != self.k:
             raise ValueError("k mismatch between instance and matrix flag")
 
@@ -79,9 +80,9 @@ def energy(inst: Instance, s: State) -> int:
     return mul_vec(inst.matrix, s).weight
 
 
-def ground_states(inst: Instance, cap: int = KERNEL_CAP_DEFAULT) -> list[State]:
-    """All zero-energy states: exactly the kernel of the matrix."""
-    return enumerate_kernel(inst.matrix, cap)
+def ground_states(inst: Instance) -> list[State]:
+    """All zero-energy states: exactly the kernel of the matrix (at most KERNEL_CAP)."""
+    return enumerate_kernel(inst.matrix, KERNEL_CAP)
 
 
 def is_local_minimum(inst: Instance, s: State) -> bool:
@@ -99,18 +100,20 @@ def is_local_minimum(inst: Instance, s: State) -> bool:
     return True
 
 
-def _check_cap(n: int, cap_n: int):
-    if n > cap_n:
+def _check_cap(n: int):
+    """Refuse n above EXHAUSTIVE_CAP before anything of size 2**n is allocated."""
+    if n > EXHAUSTIVE_CAP:
         raise ValueError(
-            f"n={n} exceeds the exhaustive cap {cap_n}; use the constructive "
-            "local-minima pipeline (minima module) for large instances"
+            f"n={n} exceeds the exhaustive cap {EXHAUSTIVE_CAP}: 2**{n} states, and a "
+            f"barrier sweep needs at least {_SWEEP_BYTES_PER_STATE << n >> 20:,} MiB; use the "
+            "constructive local-minima pipeline (minima module) for large instances"
         )
 
 
-def energy_table(inst: Instance, cap_n: int = EXHAUSTIVE_CAP_DEFAULT) -> np.ndarray:
+def energy_table(inst: Instance) -> np.ndarray:
     """Energies of all 2**n states as uint8, indexed by state bits."""
     n = inst.n
-    _check_cap(n, cap_n)
+    _check_cap(n)
     v = np.zeros(1 << n, dtype=np.uint32)
     cols = inst.matrix.column_masks
     for q in range(n):
@@ -119,12 +122,12 @@ def energy_table(inst: Instance, cap_n: int = EXHAUSTIVE_CAP_DEFAULT) -> np.ndar
     return np.bitwise_count(v)
 
 
-def enumerate_local_minima(inst: Instance, cap_n: int = EXHAUSTIVE_CAP_DEFAULT) -> list[State]:
+def enumerate_local_minima(inst: Instance) -> list[State]:
     """All local minima, sorted by state bits: a depth-first search over the row
     sets that load no column beyond (k - 1) // 2 (a downward-closed family),
     each lifted to a preimage and expanded by the kernel."""
     n, rows = inst.n, inst.matrix.rows
-    _check_cap(n, cap_n)
+    _check_cap(n)
     # (r_i, y_i) per row i with A y_i = e_i + r_i and r_i free of independent
     # rows: a row set is in the image iff its r_i sum to 0, its y_i to a preimage
     lifts, limit, found = [(1 << i, 0) for i in range(n)], (inst.k - 1) // 2, []
@@ -169,22 +172,30 @@ def _components(src: np.ndarray, dst: np.ndarray, size: int) -> np.ndarray:
 class _MergeTree:
     """Merge tree of the sublevel sets {E <= h}.  node_of maps each admitted
     state to its component's root at admission, root each node to its current
-    root, and ground[v] is the lowest-bits ground state beneath node v.  Node
+    root, and mark[v] is the lowest-bits target state beneath node v.  Node
     ids increase with height, so a parent's id exceeds its children's.
     """
 
-    def __init__(self, energies: np.ndarray, n: int, done):
-        """Admit energy levels in ascending order until ``done(self)`` holds."""
-        self.energies, self.n = energies, n
+    def __init__(self, energies: np.ndarray, n: int, sources: list[int], target: int | None):
+        """Admit energy levels in ascending order until every source's
+        component holds a target: the state ``target``, or with None any
+        ground state (the level-0 states)."""
+        self.energies, self.n, self.target = energies, n, target
+        self.target_level = 0 if target is None else int(energies[target])
         self.node_of = np.full(1 << n, -1, dtype=np.int32)
         self.parent, self.height, self.root = (np.empty(0, dtype=np.int32) for _ in range(3))
-        self.ground = np.empty(0, dtype=np.int64)
+        self.mark = np.empty(0, dtype=np.int64)
+        sources = np.array(sources, dtype=np.int64)
         h, top = -1, int(energies.max())
-        while not done(self):
+        while not self._reached(sources):
             if h == top:
                 raise AssertionError("hypercube failed to connect below max energy")
             h += 1
             self._admit(h)
+
+    def _reached(self, sources: np.ndarray) -> bool:
+        nodes = self.node_of[sources]
+        return np.all(nodes >= 0) and np.all(self.mark[self.root[nodes]] != _NO_MARK)
 
     def _admit(self, h: int):
         level = np.flatnonzero(self.energies == h)
@@ -232,26 +243,18 @@ class _MergeTree:
         self.parent = np.concatenate([self.parent, np.full(fresh.size, -1, dtype=np.int32)])
         self.parent[joined] = into
         self.height = np.concatenate([self.height, np.full(fresh.size, h, dtype=np.int32)])
-        self.ground = np.concatenate([self.ground, np.full(fresh.size, _NO_GROUND)])
-        if h == 0:
-            np.minimum.at(self.ground, node_of[level], level)
-        np.minimum.at(self.ground, into, self.ground[joined])
+        self.mark = np.concatenate([self.mark, np.full(fresh.size, _NO_MARK)])
+        if h == self.target_level:
+            marked = level if self.target is None else np.array([self.target])
+            np.minimum.at(self.mark, node_of[marked], marked)
+        np.minimum.at(self.mark, into, self.mark[joined])
         remap = np.arange(nodes + fresh.size, dtype=np.int32)
         remap[joined] = into
         self.root = np.concatenate([remap[self.root], remap[nodes:]])
 
-    def lca(self, a: int, b: int) -> int:
-        """Lowest common ancestor of two nodes of one component."""
-        while a != b:
-            if a < b:
-                a = int(self.parent[a])
-            else:
-                b = int(self.parent[b])
-        return a
-
-    def grounded(self, a: int) -> int:
-        """The first ancestor of node a (a itself included) holding a ground state."""
-        while self.ground[a] == _NO_GROUND:
+    def marked(self, a: int) -> int:
+        """The first ancestor of node a (a itself included) holding a target."""
+        while self.mark[a] == _NO_MARK:
             a = int(self.parent[a])
         return a
 
@@ -279,45 +282,13 @@ def _witness_path(energies: np.ndarray, n: int, s: int, t: int, height: int) -> 
     return tuple(BitVector(n, p) for p in path)
 
 
-def bottleneck_height(
-    inst: Instance,
-    s: State,
-    t: State,
-    cap_n: int = EXHAUSTIVE_CAP_DEFAULT,
-    witness: bool = False,
-) -> BarrierResult:
+def bottleneck_height(inst: Instance, s: State, t: State, witness: bool = False) -> BarrierResult:
     """Exact bottleneck height and barrier between two states."""
-    if s.length != inst.n or t.length != inst.n:
-        raise ValueError("state length mismatch")
-    energies = energy_table(inst, cap_n)
-
-    def joined(tr):
-        a, b = tr.node_of[[s.bits, t.bits]]
-        return a >= 0 and b >= 0 and tr.root[a] == tr.root[b]
-
-    tree = _MergeTree(energies, inst.n, joined)
-    a, b = (int(tree.node_of[x.bits]) for x in (s, t))
-    e_s = int(energies[s.bits])
-    h = max(e_s, int(energies[t.bits]), int(tree.height[tree.lca(a, b)]))
-    path = _witness_path(energies, inst.n, s.bits, t.bits, h) if witness else None
-    return BarrierResult(s=s, t=t, height=h, barrier=h - e_s, witness_path=path)
-
-
-def barrier_to_ground(
-    inst: Instance,
-    s: State,
-    cap_n: int = EXHAUSTIVE_CAP_DEFAULT,
-    witness: bool = False,
-) -> BarrierResult:
-    """Minimum bottleneck height from s to any ground state."""
-    return barriers_to_ground(inst, [s], cap_n, witness)[0]
+    return _barriers(inst, [s], t, witness)[0]
 
 
 def barriers_to_ground(
-    inst: Instance,
-    states: list[State],
-    cap_n: int = EXHAUSTIVE_CAP_DEFAULT,
-    witness: bool = False,
+    inst: Instance, states: list[State], witness: bool = False
 ) -> list[BarrierResult]:
     """Barriers from each state to its nearest-in-height ground state.
 
@@ -326,20 +297,26 @@ def barriers_to_ground(
     in the first connecting component.  The ground states are the merge
     tree's level-0 states; no kernel is enumerated.
     """
-    energies = energy_table(inst, cap_n)
-    bits = np.array([s.bits for s in states], dtype=np.int64)
+    return _barriers(inst, states, None, witness)
 
-    def all_grounded(tr):
-        nodes = tr.node_of[bits]
-        return np.all(nodes >= 0) and np.all(tr.ground[tr.root[nodes]] != _NO_GROUND)
 
-    tree = _MergeTree(energies, inst.n, all_grounded)
+def _barriers(
+    inst: Instance, states: list[State], target: State | None, witness: bool
+) -> list[BarrierResult]:
+    """Barriers from each state to ``target``, or with None to the ground
+    states, from one merge tree.  The first ancestor of a state's node that
+    holds a target is where the state first joins one."""
+    n = inst.n
+    if any(x.length != n for x in states) or target is not None and target.length != n:
+        raise ValueError("state length mismatch")
+    energies = energy_table(inst)
+    tree = _MergeTree(energies, n, [s.bits for s in states], None if target is None else target.bits)
     results = []
     for s in states:
-        top = tree.grounded(int(tree.node_of[s.bits]))
-        e_s = int(energies[s.bits])
-        h = max(e_s, int(tree.height[top]))
-        t = BitVector(inst.n, int(tree.ground[top]))
-        path = _witness_path(energies, inst.n, s.bits, t.bits, h) if witness else None
-        results.append(BarrierResult(s=s, t=t, height=h, barrier=h - e_s, witness_path=path))
+        top = tree.marked(int(tree.node_of[s.bits]))
+        t, e_s = int(tree.mark[top]), int(energies[s.bits])
+        h = max(e_s, int(energies[t]), int(tree.height[top]))
+        path = _witness_path(energies, n, s.bits, t, h) if witness else None
+        results.append(BarrierResult(s=s, t=BitVector(n, t), height=h, barrier=h - e_s,
+                                     witness_path=path))
     return results

@@ -236,7 +236,6 @@ def select_far_minima(
     beta,
     gamma,
     count: int,
-    cap: int = 1 << 16,
 ) -> FarMinimaSelection:
     """Local minima certified to lie farther than beta*n/2 from every ground state.
 
@@ -253,7 +252,7 @@ def select_far_minima(
     beta_f = exact_fraction(beta)
     gamma_f = exact_fraction(gamma)
     n = inst.n
-    grounds = ground_states(inst, cap)
+    grounds = ground_states(inst)
     z = fam.z_vectors
     need_indep = 2**fam.corank + 1
     gamma_count = frac_ceil(gamma_f * n)

@@ -77,6 +77,19 @@ class TestLandscape:
         report = out.read_text().replace(json.dumps(str(infile)), '"<infile>"')
         assert report == (DATA / f"{name}.json").read_text()
 
+    def test_above_exhaustive_cap_is_one(self, shifted_instance, tmp_path, capsys):
+        infile = tmp_path / "n27.xnf"
+        write_instance(shifted_instance(3, 27, 1), infile)
+        assert main(["landscape", "--in", str(infile)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: n=27 exceeds the exhaustive cap 26") and "768 MiB" in line
+
+    def test_cap_option_is_gone(self, eq1_file):
+        for command in ("landscape", "kernel"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--in", str(eq1_file), "--cap", "40"])
+            assert exc.value.code == 2
+
     @pytest.mark.parametrize("name", ["landscape_k3_n22", "landscape_k4_n18"])
     def test_golden_barrier_report(self, name, tmp_path):
         # recorded while barriers_to_ground still enumerated the kernel to enforce a cap
@@ -140,6 +153,16 @@ class TestCoeffs:
                      "--json", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["summary"]["dominated"] is True
+
+    @pytest.mark.parametrize("table", ["B", "S", "bounds"])
+    def test_delta_rejected_outside_u_table(self, table, capsys):
+        assert main(["coeffs", "--k", "3", "--n", "10", "--table", table, "--delta", "0.3"]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: --delta applies only to --table U"]
+
+    def test_u_table_default_delta(self, tmp_path):
+        out = tmp_path / "u.json"
+        assert main(["coeffs", "--k", "3", "--n", "10", "--table", "U", "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["summary"] == {"delta": "0.5"}
 
     @pytest.mark.parametrize("k", [3, 4])
     @pytest.mark.parametrize("table", ["S", "B", "bounds"])
@@ -254,6 +277,16 @@ class TestWalkAndMinima:
         assert data["summary"]["m"] >= 1
 
 
+    @pytest.mark.parametrize("extra,named", [
+        (["--beta", "0.1", "--count", "3"], "--beta, --count"),
+        (["--gamma", "0.1"], "--gamma"),
+        (["--count", "3"], "--count"),
+    ])
+    def test_far_minima_options_need_beta_and_gamma(self, extra, named, eq1_file, capsys):
+        assert main(["minima", "--in", str(eq1_file), *extra]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {named} need both --beta and --gamma"]
+
     @pytest.mark.parametrize("name", ["landscape_k3_n22", "landscape_k4_n18"])
     def test_golden_family_report(self, name, tmp_path):
         infile, out = DATA / f"{name}.xnf", tmp_path / "m.json"
@@ -311,7 +344,7 @@ class TestExitCodes:
 class TestVerifySubcommand:
     def test_verify_single_criterion(self, tmp_path, capsys):
         out = tmp_path / "v.json"
-        code = main(["verify", "--suite", "acceptance", "--only", "1", "--json", str(out)])
+        code = main(["verify", "--only", "1", "--json", str(out)])
         assert code == 0
         data = json.loads(out.read_text())
         assert data["records"][0]["criterion"] == 1

@@ -1,11 +1,12 @@
+import tracemalloc
+
 import pytest
 
 from xorland import landscape
 from xorland.expansion import ExpansionParams, check_boundary_expander
-from xorland.gf2 import BitVector, KernelTooLargeError
+from xorland.gf2 import BitMatrix, BitVector, KernelTooLargeError, enumerate_kernel
 from xorland.landscape import (
     Instance,
-    barrier_to_ground,
     barriers_to_ground,
     bottleneck_height,
     energy,
@@ -28,8 +29,12 @@ from xorland.rng import RngSpec
 class TestInstance:
     def test_regularity_enforced(self, eq1_matrix):
         Instance(matrix=eq1_matrix, k=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k mismatch"):
             Instance(matrix=eq1_matrix, k=4)
+        unflagged = BitMatrix(4, 4, eq1_matrix.rows)
+        Instance(matrix=unflagged, k=3)
+        with pytest.raises(ValueError, match="not 4-regular: bad row weight"):
+            Instance(matrix=unflagged, k=4)
 
     def test_random_has_provenance(self):
         spec = RngSpec(5)
@@ -91,12 +96,11 @@ class TestGroundStates:
                 assert a ^ b in bits
 
     def test_cap_propagates(self):
-        from xorland.gf2 import BitMatrix
-
-        # 4-regular all-ones 8x8 matrix has a large kernel
-        inst = Instance(matrix=BitMatrix.from_rows([[1] * 8] * 8, k_regular=8), k=8)
+        # the 8-regular all-ones 8x8 matrix has a kernel of dimension 7
+        matrix = BitMatrix.from_rows([[1] * 8] * 8, k_regular=8)
         with pytest.raises(KernelTooLargeError):
-            ground_states(inst, cap=4)
+            enumerate_kernel(matrix, 4)
+        assert len(ground_states(Instance(matrix=matrix, k=8))) == 128
 
 
 class TestLocalMinima:
@@ -109,9 +113,9 @@ class TestLocalMinima:
         lm = {v.to01() for v in enumerate_local_minima(eq1_instance)}
         assert lm == {"1110", "1101", "1011", "0111"}
 
-    def test_cap_error_mentions_constructive_route(self, eq1_instance):
+    def test_cap_error_mentions_constructive_route(self, shifted_instance):
         with pytest.raises(ValueError, match="constructive"):
-            enumerate_local_minima(eq1_instance, cap_n=3)
+            enumerate_local_minima(shifted_instance(3, landscape.EXHAUSTIVE_CAP + 1, 0))
 
     def test_minima_have_positive_energy(self):
         inst = Instance.random(3, 10, RngSpec(23))
@@ -168,13 +172,23 @@ class TestBarriers:
         assert res.barrier == 2
 
     def test_barrier_to_ground_worked_example(self, eq1_instance):
-        res = barrier_to_ground(eq1_instance, BitVector.from01("1101"))
+        res = barriers_to_ground(eq1_instance, [BitVector.from01("1101")])[0]
         assert res.barrier == 2
         assert res.t.to01() == "0000"
 
     def test_ground_state_has_zero_barrier(self, eq1_instance):
-        res = barrier_to_ground(eq1_instance, BitVector.from01("0000"))
+        res = barriers_to_ground(eq1_instance, [BitVector.from01("0000")])[0]
         assert res.barrier == 0 and res.height == 0
+
+    @pytest.mark.parametrize("length,bits", [(5, 0b0111), (6, 0b110110)])  # in and beyond 2**4
+    def test_wrong_length_states_rejected(self, eq1_instance, length, bits):
+        bad, good = BitVector(length, bits), BitVector.from01("0000")
+        with pytest.raises(ValueError, match="length"):
+            barriers_to_ground(eq1_instance, [good, bad])
+        with pytest.raises(ValueError, match="length"):
+            bottleneck_height(eq1_instance, bad, good)
+        with pytest.raises(ValueError, match="length"):
+            bottleneck_height(eq1_instance, good, bad)
 
     def test_adjacent_states(self):
         inst = Instance.random(3, 10, RngSpec(31))
@@ -289,6 +303,32 @@ class TestBarrierOracleDifferential:
 
     def test_empty_query_list(self, eq1_instance):
         assert barriers_to_ground(eq1_instance, []) == []
+
+
+class TestExhaustiveCap:
+    """Above EXHAUSTIVE_CAP every exhaustive entry point refuses before it
+    allocates anything of size 2**n."""
+
+    @pytest.mark.parametrize("call", [
+        lambda inst: energy_table(inst),
+        lambda inst: enumerate_local_minima(inst),
+        lambda inst: bottleneck_height(inst, BitVector(inst.n, 0), BitVector(inst.n, 1)),
+        lambda inst: barriers_to_ground(inst, [BitVector(inst.n, 1)]),
+    ], ids=["energy_table", "enumerate_local_minima", "bottleneck_height", "barriers_to_ground"])
+    def test_refuses_before_allocating(self, call, shifted_instance):
+        n = landscape.EXHAUSTIVE_CAP + 1
+        inst = shifted_instance(3, n, 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                call(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        message = str(err.value)
+        assert peak < 1 << 20
+        assert "cap 26" in message and f"2**{n} states" in message
+        assert "768 MiB" in message and "constructive" in message
 
 
 class TestExpansionEnergyInvariant:
