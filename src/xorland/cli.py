@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", required=True)
     p.add_argument("--eta", required=True)
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int, default=10**6,
+                   help="exact: column sets each phase may visit; sampled: subsets drawn per size")
     _add_rng(p)
     _add_report(p)
 

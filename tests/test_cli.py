@@ -116,6 +116,12 @@ class TestExpand:
         assert "not falsified" in data["summary"]["note"]
 
 
+    @pytest.mark.parametrize("mode,budget", [("sampled", "0"), ("exact", "-1")])
+    def test_budget_below_one_is_one(self, eq1_file, mode, budget, capsys):
+        assert main(["expand", "--in", str(eq1_file), "--omega", "2", "--eta", "1",
+                     "--mode", mode, "--budget", budget]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: budget must be >= 1, got {budget}"]
+
     @pytest.mark.parametrize("name,source,omega,eta,code", [
         ("expand_k3_n22_holds", "landscape_k3_n22", "4", "0.25", 0),
         ("expand_k3_n22_violated", "landscape_k3_n22", "4", "0.5", 1),

@@ -149,6 +149,84 @@ class TestExactModeAgainstNaiveEnumeration:
         assert kinds == {True, False}
 
 
+class TestConnectedSetsAgainstSortedWalk:
+    """Exact mode decides from the connected column sets and names the witness
+    by the lexicographic walk.  Both must agree with the brute-force sorted walk
+    over all subsets, also where the first violating subset is disconnected."""
+
+    _sorted_walk = staticmethod(TestExactModeAgainstNaiveEnumeration._sorted_walk)
+    _assert_same = staticmethod(TestExactModeAgainstNaiveEnumeration._assert_same)
+
+    @staticmethod
+    def _connected(a, cols):
+        """Whether the columns form one component, two being adjacent when they share a row."""
+        reached, frontier = {cols[0]}, [cols[0]]
+        while frontier:
+            mask = a.column_masks[frontier.pop()]
+            for j in cols:
+                if j not in reached and a.column_masks[j] & mask:
+                    reached.add(j)
+                    frontier.append(j)
+        return len(reached) == len(cols)
+
+    def test_1200_checks_regular_and_random(self, shifted_instance):
+        gen = RngSpec(2006).generator()
+        held = violated = disconnected = 0
+        for trial in range(300):
+            if trial % 2:
+                k = 3 + trial // 2 % 4
+                a = shifted_instance(k, int(gen.integers(k + 3, 17)), trial).matrix
+            else:
+                n_rows, n_cols = (int(x) for x in gen.integers(4, 13, size=2))
+                rows = tuple(int(gen.integers(0, 1 << n_cols)) for _ in range(n_rows))
+                a = BitMatrix(n_rows, n_cols, rows)
+                k = max(1, max(c.bit_count() for c in a.column_masks))
+            for _ in range(4):
+                omega = int(gen.integers(1, min(5, a.n_cols) + 1))
+                params = ExpansionParams(k, omega, Fraction(int(gen.integers(1, 3 * k + 1)), 4))
+                verdict = check_boundary_expander(a, params)
+                self._assert_same(verdict, self._sorted_walk(a, params, omega))
+                held += verdict.holds
+                violated += not verdict.holds
+                disconnected += not verdict.holds and not self._connected(a, verdict.witness.cols)
+        assert held >= 250 and violated >= 250 and disconnected >= 20
+
+    def test_disconnected_first_witness(self, shifted_instance):
+        # (0, 1, 2, 5) is the first violating subset in lexicographic order,
+        # though not connected; the connected phase only proves one exists
+        a = shifted_instance(3, 8, 1).matrix
+        params = ExpansionParams(3, 4, 1)
+        verdict = check_boundary_expander(a, params)
+        self._assert_same(verdict, self._sorted_walk(a, params, 4))
+        assert verdict.witness.cols == (0, 1, 2, 5) and verdict.subsets_checked == 6
+        assert not self._connected(a, verdict.witness.cols)
+
+    def test_connected_sets_fit_where_all_subsets_do_not(self):
+        # sum C(100, w) for w <= 5 is 79,375,495 subsets; about 42,000 are connected
+        a = Instance.random(3, 100, RngSpec(1)).matrix
+        verdict = check_boundary_expander(a, ExpansionParams(3, 5, 0.25), budget=10**5)
+        assert verdict.holds and verdict.subsets_checked == sum(math.comb(100, w) for w in range(1, 6))
+
+    @pytest.mark.parametrize("n,seed,omega,eta,task", [
+        (100, 1, 5, 0.25, "looking for a violation"),
+        (24, 5, 12, 0.5, "locating the first violating subset (one exists)"),
+    ])
+    def test_budget_error_names_budget_and_task(self, n, seed, omega, eta, task):
+        a = Instance.random(3, n, RngSpec(seed)).matrix
+        with pytest.raises(SubsetBudgetError) as err:
+            check_boundary_expander(a, ExpansionParams(3, omega, eta), budget=100)
+        assert err.value.budget == 100
+        assert str(err.value) == (f"exact mode visited 100 column sets, its budget, while {task}; "
+                                  "rerun with a larger --budget or with --mode sampled")
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, eq1_matrix, mode, budget):
+        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+            check_boundary_expander(eq1_matrix, ExpansionParams(3, 2, 1), mode=mode,
+                                    budget=budget, rng=RngSpec(1))
+
+
 class TestBoundaryLowerBound:
     def test_formula(self):
         assert boundary_lower_bound(10, 12) == 8
