@@ -318,7 +318,7 @@ def _cmd_coeffs(args) -> int:
             records = [{"w": w, "B": str(b)} for w, b in enumerate(table)]
         summary = {"nonzero": sum(1 for b in table if b)}
     elif args.table == "S":
-        total, regions = enumerator.kernel_bound_sum(k, n, with_regions=True)
+        total, regions = enumerator.kernel_bound_sum(k, n)
         with _unlimited_int_str():
             exact = f"{total.numerator}/{total.denominator}"
         records = [{"n": n, "S_exact": exact, "S_decimal": float(total)}]

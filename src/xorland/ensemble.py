@@ -55,11 +55,24 @@ def _validate_kn(k: int, n: int):
         raise ValueError(f"n must be >= k, got n={n}, k={k}")
 
 
+def _pairings(k: int, n: int, rng: RngSpec, count: int):
+    """The first ``count`` uniform pairings of the stream of ``rng``, in
+    batches of 64 rows, then four times as many per batch up to 4,096.
+    ``Generator.permuted`` draws each row alike however the rows are batched."""
+    gen, points, batch = rng.generator(), np.arange(k * n), 64
+    while count > 0:
+        size = min(batch, count)
+        perms = np.tile(points, (size, 1))
+        yield gen.permuted(perms, axis=1, out=perms)
+        count -= size
+        batch = min(batch * 4, 1 << 12)
+
+
 def sample_configuration(k: int, n: int, rng: RngSpec) -> Configuration:
-    """Uniformly random configuration (uniform permutation of k*n points)."""
+    """Uniformly random configuration: the first pairing of the stream of ``rng``."""
     _validate_kn(k, n)
-    perm = rng.generator().permutation(k * n)
-    return Configuration(k, n, tuple(int(p) for p in perm))
+    perm = next(_pairings(k, n, rng, 1))[0]
+    return Configuration(k, n, tuple(perm.tolist()))
 
 
 def induced_matrix(cfg: Configuration) -> tuple[np.ndarray, bool]:
@@ -75,21 +88,12 @@ def _simple_rows(perms: np.ndarray, k: int, n: int) -> np.ndarray:
     """Boolean mask of which batched pairings induce a 0/1 matrix: no left
     cell meets one right cell twice, checked over the k(k-1)/2 pairs of its
     points.  cells[i] holds the right cell of point i of every left cell."""
-    cells = (perms // k).astype(np.int32).reshape(-1, n, k).transpose(2, 0, 1).copy()
+    cells = (perms.astype(np.int32) // k).reshape(-1, n, k).transpose(2, 0, 1).copy()
     clash = np.zeros(cells.shape[1:], dtype=bool)
     for i in range(1, k):
         for j in range(i):
             clash |= cells[i] == cells[j]
     return ~clash.any(axis=1)
-
-
-def _matrix_from_perm(perm: np.ndarray, k: int, n: int) -> BitMatrix:
-    left = np.arange(k * n) // k
-    right = perm // k
-    rows = [0] * n
-    for i, j in zip(left, right):
-        rows[int(i)] |= 1 << int(j)
-    return BitMatrix(n, n, tuple(rows), k_regular=k)
 
 
 def default_max_tries(k: int) -> int:
@@ -105,29 +109,22 @@ def sample_k_regular(k: int, n: int, rng: RngSpec, max_tries: int | None = None)
     """Uniform k-regular 0/1 matrix by rejection until simple.
 
     Returns the matrix together with the number of rejected (non-simple)
-    configurations.  Permutations are drawn in batches for speed; the
-    accepted configuration is the first simple one in stream order, so
-    the result is a deterministic function of the RngSpec.
+    configurations.  The accepted configuration is the first simple pairing
+    of the stream of ``rng`` (``sample_configuration``'s when none is
+    rejected), so the result is a deterministic function of the RngSpec.
     """
     _validate_kn(k, n)
     if max_tries is None:
         max_tries = default_max_tries(k)
     if max_tries < 1:
         raise ValueError("max_tries must be >= 1")
-    gen = rng.generator()
-    m = k * n
     tried = 0
-    batch = 64
-    while tried < max_tries:
-        size = min(batch, max_tries - tried)
-        perms = gen.permuted(np.tile(np.arange(m), (size, 1)), axis=1)
-        simple = _simple_rows(perms, k, n)
-        hits = np.flatnonzero(simple)
+    for perms in _pairings(k, n, rng, max_tries):
+        hits = np.flatnonzero(_simple_rows(perms, k, n))
         if hits.size:
-            first = int(hits[0])
-            return SampleResult(_matrix_from_perm(perms[first], k, n), tried + first)
-        tried += size
-        batch = min(batch * 4, 1 << 16)
+            cells = (perms[hits[0]] // k).reshape(n, k).tolist()
+            return SampleResult(BitMatrix.from_row_supports(n, cells, k), tried + int(hits[0]))
+        tried += len(perms)
     raise MaxTriesExceededError(tried)
 
 
@@ -139,19 +136,13 @@ class SimpleEstimate(NamedTuple):
 
 
 def estimate_simple_probability(k: int, n: int, trials: int, rng: RngSpec) -> SimpleEstimate:
-    """Empirical fraction of simple configurations, with binomial standard error."""
+    """Empirical fraction of simple configurations among the first ``trials``
+    pairings of the stream of ``rng``, with binomial standard error."""
     _validate_kn(k, n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    gen = rng.generator()
-    m = k * n
-    simple_count = 0
-    done = 0
-    while done < trials:
-        size = min(1 << 12, trials - done)
-        perms = gen.permuted(np.tile(np.arange(m), (size, 1)), axis=1)
-        simple_count += int(_simple_rows(perms, k, n).sum())
-        done += size
+    batches = _pairings(k, n, rng, trials)
+    simple_count = sum(int(_simple_rows(perms, k, n).sum()) for perms in batches)
     frac = simple_count / trials
     se = math.sqrt(frac * (1.0 - frac) / trials)
     return SimpleEstimate(frac, se, simple_count, trials)

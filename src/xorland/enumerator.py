@@ -173,7 +173,7 @@ def region_of(k: int, n: int, w: int) -> RegionTag:
 
 class KernelBoundSum(NamedTuple):
     total: Fraction
-    regions: dict | None
+    regions: dict
 
 
 def _tree_sum(terms: list[Fraction]) -> Fraction:
@@ -184,13 +184,13 @@ def _tree_sum(terms: list[Fraction]) -> Fraction:
     return terms[0] if terms else Fraction(0)
 
 
-def kernel_bound_sum(k: int, n: int, with_regions: bool = False) -> KernelBoundSum:
+def kernel_bound_sum(k: int, n: int) -> KernelBoundSum:
     """S_k(n) = sum_w C(n,w) * B_k(n,w) / C(kn,kw), as an exact rational.
 
-    Converges to 2 for odd k and to 4 for even k.  With ``with_regions``
-    the per-region partial sums (which add up to the total exactly) are
-    returned as well.  The binomials are stepped from w to w + 1 by their
-    term ratios, and each region's terms are summed as a balanced tree.
+    Converges to 2 for odd k and to 4 for even k.  The per-region partial
+    sums, which add up to the total exactly, come with it.  The binomials
+    are stepped from w to w + 1 by their term ratios, and each region's
+    terms are summed as a balanced tree.
     """
     if n < k:
         raise ValueError("need n >= k")
@@ -204,7 +204,7 @@ def kernel_bound_sum(k: int, n: int, with_regions: bool = False) -> KernelBoundS
         for j in range(k * w, k * w + k):
             c_kn = c_kn * (k * n - j) // (j + 1)
     regions = {tag: _tree_sum(part) for tag, part in terms.items()}
-    return KernelBoundSum(sum(regions.values(), Fraction(0)), regions if with_regions else None)
+    return KernelBoundSum(sum(regions.values(), Fraction(0)), regions)
 
 
 def kernel_expectation_bound(k: int, n: int, rho) -> Fraction:

@@ -72,11 +72,6 @@ class BitVector:
     def weight(self) -> int:
         return self.bits.bit_count()
 
-    def bit(self, j: int) -> int:
-        if not 0 <= j < self.length:
-            raise ValueError(f"index {j} out of range")
-        return self.bits >> j & 1
-
     def support(self) -> tuple[int, ...]:
         return _set_bits(self.bits)
 
@@ -192,12 +187,14 @@ def mul_vec(a: BitMatrix, x: BitVector) -> BitVector:
     return BitVector(a.n_rows, bits)
 
 
-def _reduced_echelon(masks: Sequence[int], n_cols: int) -> tuple[list[int], list[int]]:
+def _reduced_echelon(masks: Sequence[int], n_cols: int) -> tuple[list[int], list[int], list[int]]:
     """Reduced row echelon form with leftmost-lowest-index pivoting.
 
-    Returns (reduced nonzero rows, pivot column per row), both in pivot order.
+    Returns (reduced rows, pivot column per row), both in pivot order, and
+    the inputs reduced to zero on the low n_cols bits, in input order.  Bits
+    above n_cols ride along, so tagged inputs keep the inputs they sum.
     """
-    work = [m for m in masks if m]
+    work = list(masks)
     reduced: list[int] = []
     pivots: list[int] = []
     for col in range(n_cols):
@@ -216,29 +213,20 @@ def _reduced_echelon(masks: Sequence[int], n_cols: int) -> tuple[list[int], list
         pivots.append(col)
         if not work:
             break
-    return reduced, pivots
+    return reduced, pivots, work
 
 
 def rank(a: BitMatrix) -> int:
     """Row rank over GF(2)."""
-    _, pivots = _reduced_echelon(a.rows, a.n_cols)
+    _, pivots, _ = _reduced_echelon(a.rows, a.n_cols)
     return len(pivots)
 
 
 def kernel_basis(a: BitMatrix) -> list[BitVector]:
-    """A linearly independent set spanning {x : Ax = 0}."""
-    reduced, pivots = _reduced_echelon(a.rows, a.n_cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(a.n_cols):
-        if free in pivot_set:
-            continue
-        bits = 1 << free
-        for row, col in zip(reduced, pivots):
-            if row >> free & 1:
-                bits |= 1 << col
-        basis.append(BitVector(a.n_cols, bits))
-    return basis
+    """A linearly independent set spanning {x : Ax = 0}: the ``kernel`` of
+    ``solve_standard_basis``, one vector per column f inside the span of the
+    columns before it, ascending in f."""
+    return list(solve_standard_basis(a).kernel)
 
 
 def enumerate_kernel(a: BitMatrix, cap: int) -> list[BitVector]:
@@ -260,7 +248,9 @@ class StandardBasisSolution:
     """Vectors y with A y = e_j + r, with r supported on the dependent rows.
 
     ``triples`` holds (y, r, j) in original indexing, one per independent
-    row j, ordered by j.  ``row_order`` / ``col_order`` record the implied
+    row j, ordered by j.  ``kernel`` is a basis of {x : A x = 0}: per
+    dependent column f, ascending, e_f plus the independent columns that
+    sum to column f.  ``row_order`` / ``col_order`` record the implied
     permutations (independent indices first, ascending, then dependent).
     """
 
@@ -269,6 +259,7 @@ class StandardBasisSolution:
     dependent_rows: tuple[int, ...]
     independent_cols: tuple[int, ...]
     dependent_cols: tuple[int, ...]
+    kernel: tuple[BitVector, ...]
 
     @property
     def corank(self) -> int:
@@ -291,11 +282,13 @@ def solve_standard_basis(a: BitMatrix) -> StandardBasisSolution:
     rows I.  A column becomes a pivot only outside the span of the columns
     before it, so the y span the greedy independent columns P.  The reduced
     row with pivot j holds e_j + r and, in its tags, y, unique on P as
-    A[I, P] is invertible.  Works for any matrix.
+    A[I, P] is invertible.  Every other column reduces to zero, and its tags
+    are then a kernel vector: itself plus the columns of P that sum to it.
+    Works for any matrix.
     """
     m, n_cols = a.n_rows, a.n_cols
     tagged = [col | 1 << (m + c) for c, col in enumerate(a.column_masks)]
-    reduced, ind_rows = _reduced_echelon(tagged, m)
+    reduced, ind_rows, dependent = _reduced_echelon(tagged, m)
     ind_mask = sum(1 << j for j in ind_rows)
     triples, col_mask = [], 0
     for row, j in zip(reduced, ind_rows):
@@ -310,4 +303,5 @@ def solve_standard_basis(a: BitMatrix) -> StandardBasisSolution:
         dependent_rows=tuple(i for i in range(m) if not ind_mask >> i & 1),
         independent_cols=tuple(c for c in range(n_cols) if col_mask >> c & 1),
         dependent_cols=tuple(c for c in range(n_cols) if not col_mask >> c & 1),
+        kernel=tuple(BitVector(n_cols, w >> m) for w in dependent),
     )

@@ -130,13 +130,12 @@ class Report:
     rng: RngSpec | None
     records: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
 
     def to_dict(self) -> dict:
         from . import __version__
 
         return {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "generator_version": __version__,
             "experiment": self.experiment,
             "parameters": self.parameters,
@@ -170,14 +169,8 @@ class Report:
 
 
 def _json_default(obj):
-    from fractions import Fraction
-
     if isinstance(obj, BitVector):
         return obj.to01()
-    if isinstance(obj, Fraction):
-        return {"numerator": str(obj.numerator), "denominator": str(obj.denominator)}
-    if isinstance(obj, RngSpec):
-        return obj.to_dict()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

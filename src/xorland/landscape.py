@@ -125,13 +125,15 @@ def energy_table(inst: Instance) -> np.ndarray:
 def enumerate_local_minima(inst: Instance) -> list[State]:
     """All local minima, sorted by state bits: a depth-first search over the row
     sets that load no column beyond (k - 1) // 2 (a downward-closed family),
-    each lifted to a preimage and expanded by the kernel."""
+    each lifted to a preimage and expanded by the kernel, both from one
+    standard-basis elimination."""
     n, rows = inst.n, inst.matrix.rows
     _check_cap(n)
+    sol = solve_standard_basis(inst.matrix)
     # (r_i, y_i) per row i with A y_i = e_i + r_i and r_i free of independent
     # rows: a row set is in the image iff its r_i sum to 0, its y_i to a preimage
     lifts, limit, found = [(1 << i, 0) for i in range(n)], (inst.k - 1) // 2, []
-    for y, r, j in solve_standard_basis(inst.matrix).triples:
+    for y, r, j in sol.triples:
         lifts[j] = (r.bits, y.bits)
 
     def extend(first: int, load: list[int], res: int, pre: int):
@@ -147,8 +149,9 @@ def enumerate_local_minima(inst: Instance) -> list[State]:
             extend(i + 1, up, res ^ r_i, pre ^ y_i)
 
     extend(0, [(1 << n) - 1] + [0] * limit, 0, 0)
-    kernel = [g.bits for g in enumerate_kernel(inst.matrix, 1 << n)]
-    return [BitVector(n, s) for s in sorted(s0 ^ g for s0 in found for g in kernel)]
+    for g in sol.kernel:
+        found += [s ^ g.bits for s in found]
+    return [BitVector(n, s) for s in sorted(found)]
 
 
 def _components(src: np.ndarray, dst: np.ndarray, size: int) -> np.ndarray:

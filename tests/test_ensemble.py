@@ -44,6 +44,9 @@ class TestConfiguration:
         assert not simple
         assert (counts == 3 * np.eye(4)).all()
 
+    def test_pinned_pairing(self):
+        assert sample_configuration(3, 5, RngSpec(2)).pairing[:8] == (10, 13, 0, 4, 7, 3, 2, 14)
+
     def test_bad_pairing_rejected(self):
         with pytest.raises(ValueError):
             Configuration(3, 3, (0,) * 9)
@@ -67,6 +70,18 @@ class TestSampleKRegular:
         dense = res.matrix.to_dense()
         assert max(max(row) for row in dense) <= 1
         assert BitMatrix.from_dense(dense, k_regular=3) == res.matrix
+
+    def test_first_pairing_is_sample_configuration(self):
+        # one stream: with no rejection, the sample is the first pairing's matrix
+        accepted = []
+        for seed in range(40):
+            counts, simple = induced_matrix(sample_configuration(3, 8, RngSpec(seed)))
+            res = sample_k_regular(3, 8, RngSpec(seed))
+            assert simple == (res.rejections == 0)
+            if simple:
+                assert counts.tolist() == res.matrix.to_dense()
+                accepted.append(seed)
+        assert accepted == [1, 9]
 
     def test_max_tries_error_carries_attempts(self):
         with pytest.raises(MaxTriesExceededError) as err:
@@ -125,6 +140,11 @@ class TestSimpleProbability:
         est = estimate_simple_probability(3, 10, 1, RngSpec(2))
         assert est.fraction in (0.0, 1.0)
         assert est.trials == 1
+
+    def test_pinned_counts(self):
+        # 10**4 trials span six batches: 64, 256, 1024, 4096, 4096 and 464 rows
+        assert estimate_simple_probability(3, 200, 10**4, RngSpec(401)).simple_count == 1342
+        assert estimate_simple_probability(4, 50, 3000, RngSpec(9)).simple_count == 33
 
     def test_monte_carlo_k3(self):
         est = estimate_simple_probability(3, 100, 4000, RngSpec(29))

@@ -171,7 +171,7 @@ class TestKernelBoundSum:
     def test_regions_add_up(self):
         for k in (3, 4, 5, 6):
             for n in range(k, 61):
-                total, regions = kernel_bound_sum(k, n, with_regions=True)
+                total, regions = kernel_bound_sum(k, n)
                 assert sum(regions.values(), Fraction(0)) == total
 
     def test_against_direct_binomials(self):

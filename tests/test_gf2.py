@@ -1,3 +1,6 @@
+from functools import reduce
+from operator import xor
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,7 @@ from xorland.gf2 import (
     rank,
     solve_standard_basis,
 )
-from xorland.oracles import naive_standard_basis
+from xorland.oracles import _first_independent, naive_standard_basis
 
 
 @st.composite
@@ -209,6 +212,39 @@ class TestStandardBasisOracle:
     def test_dependent_and_zero_rows(self):
         a = BitMatrix(5, 4, (0b0011, 0, 0b0110, 0b0101, 0b1000))
         assert self._agrees(a) == 2
+
+
+class TestKernelOracle:
+    """kernel_basis against brute force: per column f outside the greedy
+    independent columns P, ascending, the one kernel vector on {f} + P,
+    found by trying every subset of P."""
+
+    @staticmethod
+    def _agrees(a):
+        cols = list(a.column_masks)
+        ind = _first_independent(cols)
+        expected = []
+        for f in (c for c in range(a.n_cols) if c not in ind):
+            [x] = [pick for pick in range(1 << len(ind))
+                   if cols[f] == reduce(xor, (cols[c] for t, c in enumerate(ind) if pick >> t & 1), 0)]
+            expected.append(1 << f | sum(1 << c for t, c in enumerate(ind) if x >> t & 1))
+        assert [v.bits for v in kernel_basis(a)] == expected
+        return len(expected)
+
+    @given(sparse_rectangular(max_dim=12))
+    @settings(max_examples=150)
+    def test_random_rectangular(self, a):
+        self._agrees(a)
+
+    def test_k_regular(self, shifted_instance):
+        dims = {self._agrees(shifted_instance(k, n, seed).matrix)
+                for k in (3, 4, 5, 6) for n in (7, 9, 12) for seed in range(4)}
+        assert max(dims) >= 2
+
+    def test_zero_columns_and_zeros(self):
+        assert self._agrees(BitMatrix(3, 5, (0b00110, 0b00110, 0b10000))) == 3
+        for m, n in ((1, 1), (3, 5), (5, 3), (12, 12)):
+            assert self._agrees(BitMatrix.zeros(m, n)) == n
 
 
 class TestIndexLists:
