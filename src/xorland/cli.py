@@ -14,7 +14,6 @@ import math
 import sys
 
 from . import enumerator, expansion, frw, landscape, minima
-from .gf2 import kernel_basis
 from .instances import Report, export_cnf, read_instance, write_instance
 from .landscape import Instance
 from .rng import RngSpec
@@ -140,9 +139,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_kernel(args) -> int:
     inst = read_instance(args.infile)
-    basis = kernel_basis(inst.matrix)
-    r = inst.n - len(basis)
     grounds = landscape.ground_states(inst)
+    # grounds[idx] spans the basis vectors at the set bits of idx
+    basis = [grounds[1 << i] for i in range(len(grounds).bit_length() - 1)]
+    r = inst.n - len(basis)
     report = Report(
         experiment="kernel",
         parameters={"infile": args.infile, "k": inst.k, "n": inst.n},

@@ -16,8 +16,6 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Sequence
 
-from scipy.optimize import brentq
-
 from ._util import entropy, exact_fraction
 
 
@@ -268,12 +266,30 @@ def local_limit_approx(p: IntPoly, n: int, big_n: int, log: bool = False) -> flo
     return log_val if log else math.exp(log_val)
 
 
+def _saddle_root(p: IntPoly, lam: float) -> float:
+    """The last float x > 0 with x p'(x)/p(x) - lam <= 0: the saddle point.
+    x p'(x)/p(x) rises strictly on x > 0 (its derivative is the tilted
+    variance over x), so a bracket around 1 is bisected to adjacent floats."""
+    dp = p.derivative()
+
+    def mean_shift(x: float) -> float:
+        return x * dp.evaluate(x) / p.evaluate(x) - lam
+
+    lo, hi = 1.0, 1.0
+    while mean_shift(lo) > 0:
+        lo /= 2.0
+    while mean_shift(hi) <= 0:
+        hi *= 2.0
+    while lo < (mid := (lo + hi) / 2) < hi:  # mean_shift(lo) <= 0 < mean_shift(hi)
+        lo, hi = (mid, hi) if mean_shift(mid) <= 0 else (lo, mid)
+    return lo
+
+
 def saddle_point_approx(p: IntPoly, n: int, big_n: int, log: bool = False) -> float:
     """Saddle-point approximation to [z**big_n] of p(z)**n.
 
-    Solves K'(xi) = 0 for K(z) = log p(z) - lambda log z by safeguarded
-    root finding and evaluates p(xi)**n / (xi**(lambda n + 1)
-    sqrt(2 pi n K''(xi))).
+    Solves K'(xi) = 0 for K(z) = log p(z) - lambda log z (``_saddle_root``)
+    and evaluates p(xi)**n / (xi**(lambda n + 1) sqrt(2 pi n K''(xi))).
     """
     _check_local_limit_poly(p)
     if n < 1:
@@ -281,16 +297,7 @@ def saddle_point_approx(p: IntPoly, n: int, big_n: int, log: bool = False) -> fl
     lam = big_n / n
     if not 0 < lam < p.degree:
         raise ValueError("big_n / n must lie in (0, degree)")
-
-    def mean_shift(x: float) -> float:
-        return x * p.derivative().evaluate(x) / p.evaluate(x) - lam
-
-    lo, hi = 1.0, 1.0
-    while mean_shift(lo) > 0:
-        lo /= 2.0
-    while mean_shift(hi) < 0:
-        hi *= 2.0
-    xi = brentq(mean_shift, lo, hi, xtol=1e-14, rtol=1e-15) if lo != hi else 1.0
+    xi = _saddle_root(p, lam)
     p_xi = p.evaluate(xi)
     ratio1 = p.derivative().evaluate(xi) / p_xi
     ratio2 = p.derivative().derivative().evaluate(xi) / p_xi

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from xorland import cli
+from xorland import cli, gf2
 from xorland.cli import main
 from xorland.enumerator import kernel_bound_sum, weight_enumerator_table
 from xorland.instances import read_instance, write_instance
@@ -48,6 +48,17 @@ class TestKernel:
         assert data["summary"]["rank"] == 4
         assert data["summary"]["kernel_size"] == 1
         assert data["records"][0]["ground_state"] == "0000"
+
+    def test_golden_report_one_elimination(self, monkeypatch, tmp_path):
+        # the report's ground states are spanned from the basis it prints, so
+        # the command eliminates once
+        calls, real = [], gf2.solve_standard_basis
+        monkeypatch.setattr(gf2, "solve_standard_basis", lambda a: calls.append(a) or real(a))
+        infile, out = DATA / "landscape_k4_n18.xnf", tmp_path / "k.json"
+        assert main(["kernel", "--in", str(infile), "--json", str(out)]) == 0
+        report = out.read_text().replace(json.dumps(str(infile)), '"<infile>"')
+        assert report == (DATA / "kernel_k4_n18.json").read_text()
+        assert len(calls) == 1
 
 
 class TestLandscape:

@@ -4,10 +4,12 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from scipy.optimize import brentq
 
 from xorland.enumerator import (
     IntPoly,
     RegionTag,
+    _saddle_root,
     binomial_entropy_bound,
     binomial_ratio_bound,
     even_weight_poly,
@@ -330,6 +332,48 @@ class TestSaddle:
             saddle_point_approx(IntPoly.from_coeffs([1, 1]), 10, 0)
         with pytest.raises(ValueError):
             saddle_upper_bound(3, 10, 0)
+
+
+def _saddle_log(p: IntPoly, n: int, big_n: int, xi: float) -> float:
+    """log of p(xi)**n / (xi**(big_n + 1) sqrt(2 pi n K''(xi))), K(z) = log p(z) - (big_n/n) log z."""
+    d1, d2 = p.derivative(), p.derivative().derivative()
+    p_xi = p.evaluate(xi)
+    k2 = big_n / n / xi**2 - (d1.evaluate(xi) / p_xi) ** 2 + d2.evaluate(xi) / p_xi
+    return n * math.log(p_xi) - (big_n + 1) * math.log(xi) - 0.5 * math.log(2 * math.pi * n * k2)
+
+
+class TestSaddleRoot:
+    """The bisected saddle point against scipy's brentq, an independent root finder."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [even_weight_poly(k).halve_degrees() for k in (3, 4, 5, 6)]
+        + [IntPoly.from_coeffs(c) for c in ([1, 1], [1, 2, 1], [1, 3, 3, 1])],
+        ids=lambda p: "+".join(map(str, p.coeffs)),
+    )
+    def test_matches_brentq_and_brackets_the_sign_change(self, p):
+        n, dp = 200, p.derivative()
+        centre = round(n * dp.evaluate(1) / p.evaluate(1))
+        for big_n in (1, centre, n * p.degree - 1):
+            lam = big_n / n
+
+            def mean_shift(x):
+                return x * dp.evaluate(x) / p.evaluate(x) - lam
+
+            xi = _saddle_root(p, lam)
+            assert mean_shift(xi) <= 0 < mean_shift(math.nextafter(xi, math.inf))
+            ref = brentq(mean_shift, 1e-9, 1e9, xtol=1e-14, rtol=1e-15)
+            got = saddle_point_approx(p, n, big_n, log=True)
+            assert math.isclose(got, _saddle_log(p, n, big_n, ref), rel_tol=1e-12)
+
+    def test_exact_centre_is_one(self):
+        # x p'(x)/p(x) = x/(1+x) meets 1/2 exactly at x = 1
+        assert _saddle_root(IntPoly.from_coeffs([1, 1]), 100 / 200) == 1.0
+        assert math.isclose(
+            saddle_point_approx(IntPoly.from_coeffs([1, 1]), 200, 100, log=True),
+            _saddle_log(IntPoly.from_coeffs([1, 1]), 200, 100, 1.0),
+            rel_tol=1e-15,
+        )
 
 
 class TestTauInequality:
