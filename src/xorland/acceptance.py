@@ -243,7 +243,7 @@ def criterion_7() -> CriterionResult:
             continue
         gens = [fam.z_vectors[i] for i in sel.reserved_indices]
         gen_matrix = BitMatrix(len(gens), 60, tuple(g.bits for g in gens))
-        independent = rank(gen_matrix) == len(gens) == sel.family.gamma_count
+        independent = rank(gen_matrix) == len(gens) == sel.gamma_count
         distinct = len({e.state.bits for e in sel.entries}) == len(sel.entries)
         minima_ok = all(landscape.is_local_minimum(inst, e.state) for e in sel.entries)
         far_ok = all(
@@ -252,8 +252,8 @@ def criterion_7() -> CriterionResult:
         if independent and distinct and minima_ok and far_ok:
             structural_ok = True
             far_details = (
-                f"n=60 stream {s}: m={fam.m}, {sel.family.gamma_count} independent generators "
-                f">= {2 ** sel.family.gamma_count - 1} distinct far minima"
+                f"n=60 stream {s}: m={fam.m}, {sel.gamma_count} independent generators "
+                f">= {2 ** sel.gamma_count - 1} distinct far minima"
             )
             break
 

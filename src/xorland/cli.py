@@ -13,7 +13,7 @@ import dataclasses
 import math
 import sys
 
-from . import enumerator, expansion, frw, landscape, minima
+from . import enumerator, expansion, frw, gf2, landscape, minima
 from .instances import Report, export_cnf, read_instance, write_instance
 from .landscape import Instance
 from .rng import RngSpec
@@ -139,9 +139,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_kernel(args) -> int:
     inst = read_instance(args.infile)
+    basis = gf2.kernel_basis(inst.matrix)
     grounds = landscape.ground_states(inst)
-    # grounds[idx] spans the basis vectors at the set bits of idx
-    basis = [grounds[1 << i] for i in range(len(grounds).bit_length() - 1)]
     r = inst.n - len(basis)
     report = Report(
         experiment="kernel",
@@ -216,8 +215,8 @@ def _cmd_minima(args) -> int:
                 "min_distance_to_ground": min(e.distances_to_ground),
                 "corrected": e.corrected,
             })
-        summary["gamma_count"] = sel.family.gamma_count
-        summary["independent_set"] = list(sel.family.independent_set or ())
+        summary["gamma_count"] = sel.gamma_count
+        summary["independent_set"] = list(sel.independent_set)
     report = Report(
         experiment="minima",
         parameters={"infile": args.infile, "beta": args.beta, "gamma": args.gamma},
@@ -276,7 +275,7 @@ def _cmd_expand(args) -> int:
         "holds": verdict.holds,
         "mode": verdict.mode,
         "subsets_checked": verdict.subsets_checked,
-        "note": None if verdict.mode == "exact" else "sampled mode can only report 'not falsified'",
+        "note": verdict.note if verdict.mode == "exact" else "sampled mode can only report 'not falsified'",
     }
     records = []
     if verdict.witness:

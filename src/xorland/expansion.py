@@ -64,6 +64,7 @@ class ExpansionVerdict:
     mode: str  # "exact" | "sampled"
     subsets_checked: int
     witness: ExpansionWitness | None = None
+    note: str | None = None  # set when an exact witness is not the lexicographic first
 
 
 def boundary_count(a: BitMatrix, cols: Iterable[int]) -> int:
@@ -126,20 +127,27 @@ def _check_exact(a: BitMatrix, params: ExpansionParams, max_w: int, budget: int)
     when every connected set holds, all sum C(n, w) subsets (the count
     reported) hold; otherwise the lexicographic walk finds the witness, which
     may be disconnected, and counts the subsets up to it.  Each phase counts
-    the sets it visits against ``budget`` as it goes.
+    the sets it visits against ``budget`` as it goes.  Past the budget the
+    first phase raises; the second, whose violation is already proven,
+    reports the connected witness and its count, with a note saying so.
     """
     n = a.n_cols
     required = [0] + [params.required_boundary(w) for w in range(1, max_w + 1)]
     near = [reduce(or_, (a.rows[i] for i in s), 0) for s in a.column_supports]
-    if _first_violation(a, required, max_w, budget, near, "looking for a violation") is None:
+    connected = _first_violation(a, required, max_w, budget, near)
+    if connected is None:
         return ExpansionVerdict(True, "exact", sum(comb(n, w) for w in range(1, max_w + 1)))
-    checked, witness = _first_violation(a, required, max_w, budget, [(1 << n) - 1] * n,
-                                        "locating the first violating subset (one exists)")
-    return ExpansionVerdict(False, "exact", checked, witness)
+    try:
+        first = _first_violation(a, required, max_w, budget, [(1 << n) - 1] * n)
+    except SubsetBudgetError:
+        return ExpansionVerdict(False, "exact", *connected, note=(
+            "the budget ran out naming the first violating subset; this witness is the "
+            "first violating connected set found, not the lexicographic first"))
+    return ExpansionVerdict(False, "exact", *first)
 
 
-def _first_violation(a: BitMatrix, required: list[int], max_w: int, budget: int, near: list[int],
-                     task: str) -> tuple[int, ExpansionWitness] | None:
+def _first_violation(a: BitMatrix, required: list[int], max_w: int, budget: int,
+                     near: list[int]) -> tuple[int, ExpansionWitness] | None:
     """Visit the sets of <= max_w columns connected under the closed
     neighbourhood masks ``near``; return the count and the first short one.
 
@@ -165,13 +173,13 @@ def _first_violation(a: BitMatrix, required: list[int], max_w: int, budget: int,
             j = (ext & -ext).bit_length() - 1
             frames[-1][1] = ext = ext & ext - 1
             if visited == budget:
-                raise SubsetBudgetError(budget, task)
+                raise SubsetBudgetError(budget, "looking for a violation")
             visited += 1
             twice |= once & cols[j]
             once |= cols[j]
             boundary, size = (once & ~twice).bit_count(), len(frames)
             if boundary < required[size]:
-                chosen = tuple(f[0] for f in frames[1:]) + (j,)
+                chosen = tuple(sorted([f[0] for f in frames[1:]] + [j]))
                 return visited, ExpansionWitness(chosen, boundary, required[size])
             grown = ext | near[j] & ~blocked if size < max_w else 0
             frames.append([j, grown, blocked | near[j], once, twice])

@@ -165,6 +165,26 @@ class BitMatrix:
         """Column j as its ascending row indices."""
         return tuple(_set_bits(c) for c in self.column_masks)
 
+    @cached_property
+    def _standard_basis(self) -> "StandardBasisSolution":
+        """What ``solve_standard_basis`` returns: eliminated on first use, then shared."""
+        m, n_cols = self.n_rows, self.n_cols
+        tagged = [col | 1 << (m + c) for c, col in enumerate(self.column_masks)]
+        reduced, ind_rows, dependent = _reduced_echelon(tagged, m)
+        ind_mask = sum(1 << j for j in ind_rows)
+        triples = []
+        for row, j in zip(reduced, ind_rows):
+            r_bits = row & ((1 << m) - 1) ^ 1 << j
+            if r_bits & ind_mask:
+                raise AssertionError("residual vector has bits on independent rows")
+            triples.append((BitVector(n_cols, row >> m), BitVector(m, r_bits), j))
+        return StandardBasisSolution(
+            triples=tuple(triples),
+            independent_rows=tuple(ind_rows),
+            dependent_rows=tuple(i for i in range(m) if not ind_mask >> i & 1),
+            kernel=tuple(BitVector(n_cols, w >> m) for w in dependent),
+        )
+
     def entry(self, i: int, j: int) -> int:
         return self.rows[i] >> j & 1
 
@@ -217,9 +237,8 @@ def _reduced_echelon(masks: Sequence[int], n_cols: int) -> tuple[list[int], list
 
 
 def rank(a: BitMatrix) -> int:
-    """Row rank over GF(2)."""
-    _, pivots, _ = _reduced_echelon(a.rows, a.n_cols)
-    return len(pivots)
+    """Rank over GF(2): the number of independent rows of the standard-basis solution."""
+    return len(solve_standard_basis(a).independent_rows)
 
 
 def kernel_basis(a: BitMatrix) -> list[BitVector]:
@@ -250,28 +269,17 @@ class StandardBasisSolution:
     ``triples`` holds (y, r, j) in original indexing, one per independent
     row j, ordered by j.  ``kernel`` is a basis of {x : A x = 0}: per
     dependent column f, ascending, e_f plus the independent columns that
-    sum to column f.  ``row_order`` / ``col_order`` record the implied
-    permutations (independent indices first, ascending, then dependent).
+    sum to column f.
     """
 
     triples: tuple[tuple[BitVector, BitVector, int], ...]
     independent_rows: tuple[int, ...]
     dependent_rows: tuple[int, ...]
-    independent_cols: tuple[int, ...]
-    dependent_cols: tuple[int, ...]
     kernel: tuple[BitVector, ...]
 
     @property
     def corank(self) -> int:
         return len(self.dependent_rows)
-
-    @property
-    def row_order(self) -> tuple[int, ...]:
-        return self.independent_rows + self.dependent_rows
-
-    @property
-    def col_order(self) -> tuple[int, ...]:
-        return self.independent_cols + self.dependent_cols
 
 
 def solve_standard_basis(a: BitMatrix) -> StandardBasisSolution:
@@ -284,24 +292,7 @@ def solve_standard_basis(a: BitMatrix) -> StandardBasisSolution:
     row with pivot j holds e_j + r and, in its tags, y, unique on P as
     A[I, P] is invertible.  Every other column reduces to zero, and its tags
     are then a kernel vector: itself plus the columns of P that sum to it.
-    Works for any matrix.
+    Works for any matrix.  The reduction runs once per matrix object, which
+    keeps the (immutable) solution; rank, kernel and lifts all read it.
     """
-    m, n_cols = a.n_rows, a.n_cols
-    tagged = [col | 1 << (m + c) for c, col in enumerate(a.column_masks)]
-    reduced, ind_rows, dependent = _reduced_echelon(tagged, m)
-    ind_mask = sum(1 << j for j in ind_rows)
-    triples, col_mask = [], 0
-    for row, j in zip(reduced, ind_rows):
-        r_bits = row & ((1 << m) - 1) ^ 1 << j
-        if r_bits & ind_mask:
-            raise AssertionError("residual vector has bits on independent rows")
-        triples.append((BitVector(n_cols, row >> m), BitVector(m, r_bits), j))
-        col_mask |= row >> m
-    return StandardBasisSolution(
-        triples=tuple(triples),
-        independent_rows=tuple(ind_rows),
-        dependent_rows=tuple(i for i in range(m) if not ind_mask >> i & 1),
-        independent_cols=tuple(c for c in range(n_cols) if col_mask >> c & 1),
-        dependent_cols=tuple(c for c in range(n_cols) if not col_mask >> c & 1),
-        kernel=tuple(BitVector(n_cols, w >> m) for w in dependent),
-    )
+    return a._standard_basis

@@ -10,8 +10,10 @@ under a verified boundary-expansion hypothesis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
 from ._util import exact_fraction, frac_ceil
@@ -35,8 +37,12 @@ def mark_rows(a: BitMatrix, j: int) -> frozenset[int]:
     """
     if not 0 <= j < a.n_rows:
         raise ValueError(f"row index {j} out of range")
-    cols = a.column_supports
-    return frozenset(i for c in a.row_supports[j] for i in cols[c])
+    return frozenset(BitVector(a.n_rows, _marked_mask(a, j)).support())
+
+
+def _marked_mask(a: BitMatrix, j: int) -> int:
+    """``mark_rows(a, j)`` as a bit mask over rows."""
+    return reduce(or_, (a.column_masks[c] for c in a.row_supports[j]), 0)
 
 
 @dataclass(frozen=True)
@@ -57,8 +63,6 @@ class MinimaFamily:
     z_vectors: tuple[BitVector, ...]
     group_size: int
     m_lower_bound: float
-    independent_set: tuple[int, ...] | None = None
-    gamma_count: int | None = None
 
     @property
     def m(self) -> int:
@@ -90,9 +94,7 @@ def build_family(a: BitMatrix, d_cap: int = 8) -> MinimaFamily:
     marked = 0
     selected: list[tuple[BitVector, int]] = []
     for y, _, j in group:
-        marks = 0  # mark_rows(a, j) as a mask over rows
-        for c in a.row_supports[j]:
-            marks |= a.column_masks[c]
+        marks = _marked_mask(a, j)
         if marks & marked == 0:
             marked |= marks
             selected.append((y, j))
@@ -127,9 +129,7 @@ def _verify_family(a, y_vectors, selected_rows, common_r, z_vectors):
         expect = (1 << j) ^ common_r.bits
         if mul_vec(a, y).bits != expect:
             raise AssertionError("family identity A y = e_j + r failed")
-        marks = 0
-        for c in a.row_supports[j]:
-            marks |= a.column_masks[c]
+        marks = _marked_mask(a, j)
         if marks & seen:
             raise AssertionError("marked row sets are not pairwise disjoint")
         seen |= marks
@@ -223,11 +223,16 @@ class FarMinimum:
 
 @dataclass(frozen=True)
 class FarMinimaSelection:
+    """Far minima of ``family``; ``independent_set`` (the correction vectors) and
+    ``reserved_indices`` (the ``gamma_count`` generators) index its z vectors."""
+
     family: MinimaFamily
     beta: Fraction
     gamma: Fraction
     reserved_indices: tuple[int, ...]
     entries: tuple[FarMinimum, ...]
+    independent_set: tuple[int, ...]
+    gamma_count: int
 
 
 def select_far_minima(
@@ -316,14 +321,8 @@ def select_far_minima(
                 correction_index=correction,
             )
         )
-    family = replace(fam, independent_set=tuple(independent), gamma_count=gamma_count)
-    return FarMinimaSelection(
-        family=family,
-        beta=beta_f,
-        gamma=gamma_f,
-        reserved_indices=tuple(reserved),
-        entries=tuple(entries),
-    )
+    return FarMinimaSelection(fam, beta_f, gamma_f, tuple(reserved), tuple(entries),
+                              tuple(independent), gamma_count)
 
 
 def _far_from_all(u: BitVector, grounds, half_threshold: Fraction) -> bool:

@@ -17,6 +17,15 @@ DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
+def eliminations(monkeypatch):
+    """The row count of each matrix gf2 eliminates, one entry per elimination."""
+    rows, real = [], gf2._reduced_echelon
+    monkeypatch.setattr(gf2, "_reduced_echelon",
+                        lambda masks, n_rows: rows.append(n_rows) or real(masks, n_rows))
+    return rows
+
+
+@pytest.fixture
 def eq1_file(eq1_instance, tmp_path):
     path = tmp_path / "eq1.xnf"
     write_instance(eq1_instance, path)
@@ -49,16 +58,13 @@ class TestKernel:
         assert data["summary"]["kernel_size"] == 1
         assert data["records"][0]["ground_state"] == "0000"
 
-    def test_golden_report_one_elimination(self, monkeypatch, tmp_path):
-        # the report's ground states are spanned from the basis it prints, so
-        # the command eliminates once
-        calls, real = [], gf2.solve_standard_basis
-        monkeypatch.setattr(gf2, "solve_standard_basis", lambda a: calls.append(a) or real(a))
+    def test_golden_report_one_elimination(self, eliminations, tmp_path):
+        # the basis and the ground states it spans read one stored elimination
         infile, out = DATA / "landscape_k4_n18.xnf", tmp_path / "k.json"
         assert main(["kernel", "--in", str(infile), "--json", str(out)]) == 0
         report = out.read_text().replace(json.dumps(str(infile)), '"<infile>"')
         assert report == (DATA / "kernel_k4_n18.json").read_text()
-        assert len(calls) == 1
+        assert eliminations == [18]
 
 
 class TestLandscape:
@@ -102,12 +108,14 @@ class TestLandscape:
             assert exc.value.code == 2
 
     @pytest.mark.parametrize("name", ["landscape_k3_n22", "landscape_k4_n18"])
-    def test_golden_barrier_report(self, name, tmp_path):
-        # recorded while barriers_to_ground still enumerated the kernel to enforce a cap
+    def test_golden_barrier_report(self, name, eliminations, tmp_path):
+        # recorded while barriers_to_ground still enumerated the kernel to enforce a cap;
+        # the ground states and the minima's lifts read one stored elimination
         infile, out = DATA / f"{name}.xnf", tmp_path / "l.json"
         assert main(["landscape", "--in", str(infile), "--json", str(out)]) == 0
         report = out.read_text().replace(json.dumps(str(infile)), '"<infile>"')
         assert report == (DATA / f"{name}_barriers.json").read_text()
+        assert eliminations == [read_instance(infile).n]
 
 
 class TestExpand:
@@ -126,6 +134,17 @@ class TestExpand:
         assert data["summary"]["mode"] == "sampled"
         assert "not falsified" in data["summary"]["note"]
 
+    def test_proven_violation_past_budget_reported(self, tmp_path):
+        # the lexicographic walk needs 203 sets; the connected phase proves the
+        # violation after 10, so a budget of 100 still gives a verdict
+        infile, out = tmp_path / "n30.xnf", tmp_path / "e.json"
+        write_instance(Instance.random(3, 30, RngSpec(1)), infile)
+        assert main(["expand", "--in", str(infile), "--omega", "3", "--eta", "5/3",
+                     "--budget", "100", "--json", str(out)]) == 1
+        data = json.loads(out.read_text())
+        assert data["summary"]["holds"] is False and data["summary"]["subsets_checked"] == 10
+        assert data["summary"]["note"].endswith("not the lexicographic first")
+        assert data["records"] == [{"witness_cols": [0, 8, 27], "boundary": 3, "required": 5}]
 
     @pytest.mark.parametrize("mode,budget", [("sampled", "0"), ("exact", "-1")])
     def test_budget_below_one_is_one(self, eq1_file, mode, budget, capsys):
@@ -311,7 +330,7 @@ class TestWalkAndMinima:
         report = out.read_text().replace(json.dumps(str(infile)), '"<infile>"')
         assert report == (DATA / f"{name.replace('landscape', 'minima')}.json").read_text()
 
-    def test_golden_far_minima_report(self, tmp_path):
+    def test_golden_far_minima_report(self, eliminations, tmp_path):
         # the instances above are too small for far minima; n = 200 is generated
         infile, out = tmp_path / "far.xnf", tmp_path / "m.json"
         assert main(["gen", "--k", "3", "--n", "200", "--seed", "1", "--out", str(infile)]) == 0
@@ -319,6 +338,8 @@ class TestWalkAndMinima:
                      "--count", "3", "--json", str(out)]) == 0
         report = out.read_text().replace(json.dumps(str(infile)), '"<infile>"')
         assert report == (DATA / "minima_far_k3_n200.json").read_text()
+        # one elimination of the instance (family and ground states), one of the z vectors
+        assert eliminations == [200, json.loads(report)["summary"]["m"] - 1]
 
 
 class TestCnfCommand:

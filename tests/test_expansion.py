@@ -55,9 +55,9 @@ class TestCheckBoundaryExpander:
         assert verdict.holds and verdict.subsets_checked == 0
 
     def test_budget_error_advises_sampled(self, eq1_matrix):
-        inst = Instance.random(3, 24, RngSpec(5))
+        inst = Instance.random(3, 100, RngSpec(1))
         with pytest.raises(SubsetBudgetError) as err:
-            check_boundary_expander(inst.matrix, ExpansionParams(3, 12, 0.5), budget=100)
+            check_boundary_expander(inst.matrix, ExpansionParams(3, 5, 0.25), budget=100)
         assert "sampled" in str(err.value)
 
     def test_sampled_mode_not_falsified(self, eq1_matrix):
@@ -209,7 +209,6 @@ class TestConnectedSetsAgainstSortedWalk:
 
     @pytest.mark.parametrize("n,seed,omega,eta,task", [
         (100, 1, 5, 0.25, "looking for a violation"),
-        (24, 5, 12, 0.5, "locating the first violating subset (one exists)"),
     ])
     def test_budget_error_names_budget_and_task(self, n, seed, omega, eta, task):
         a = Instance.random(3, n, RngSpec(seed)).matrix
@@ -218,6 +217,27 @@ class TestConnectedSetsAgainstSortedWalk:
         assert err.value.budget == 100
         assert str(err.value) == (f"exact mode visited 100 column sets, its budget, while {task}; "
                                   "rerun with a larger --budget or with --mode sampled")
+
+    @pytest.mark.parametrize("n,seed,omega,eta,connected,lexicographic", [
+        (30, 1, 3, Fraction(5, 3), 10, 203),
+        (24, 5, 12, Fraction(1, 2), 13, None),
+    ], ids=["n30", "n24"])
+    def test_violation_past_budget(self, n, seed, omega, eta, connected, lexicographic):
+        # the connected phase proves a violation within the budget of 100 sets;
+        # the lexicographic walk that names the first one needs more, so the
+        # verdict carries the connected witness, its count and a note
+        a = Instance.random(3, n, RngSpec(seed)).matrix
+        params = ExpansionParams(3, omega, eta)
+        verdict = check_boundary_expander(a, params, budget=100)
+        w = verdict.witness
+        assert not verdict.holds and verdict.subsets_checked == connected
+        assert verdict.note.endswith("not the lexicographic first")
+        assert list(w.cols) == sorted(set(w.cols)) and len(w.cols) <= omega
+        assert self._connected(a, w.cols)
+        assert boundary_count(a, w.cols) == w.boundary < w.required == params.required_boundary(len(w.cols))
+        if lexicographic is not None:
+            first = check_boundary_expander(a, params, budget=lexicographic)
+            assert first.note is None and first.subsets_checked == lexicographic
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     @pytest.mark.parametrize("budget", [0, -1])

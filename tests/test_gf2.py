@@ -1,10 +1,11 @@
 from functools import reduce
-from operator import xor
+from operator import or_, xor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xorland import gf2
 from xorland.gf2 import (
     BitMatrix,
     BitVector,
@@ -172,8 +173,20 @@ class TestSolveStandardBasis:
             ymat = BitMatrix(len(ys), a.n_cols, tuple(ys))
             assert rank(ymat) == len(ys)
         assert len(sol.triples) == a.n_cols - sol.corank
-        assert sorted(sol.row_order) == list(range(a.n_rows))
-        assert sorted(sol.col_order) == list(range(a.n_cols))
+        assert sorted(sol.independent_rows + sol.dependent_rows) == list(range(a.n_rows))
+
+    def test_one_elimination_per_matrix(self, monkeypatch):
+        # rank, kernel and lifts read one stored solution; an equal matrix
+        # built anew is a new object and eliminates once more
+        runs, real = [], gf2._reduced_echelon
+        monkeypatch.setattr(gf2, "_reduced_echelon", lambda *args: runs.append(1) or real(*args))
+        a = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        sol = solve_standard_basis(a)
+        assert (rank(a), len(kernel_basis(a)), len(enumerate_kernel(a, 2))) == (2, 1, 2)
+        assert solve_standard_basis(a) is sol and len(runs) == 1
+        assert isinstance(sol.triples, tuple) and all(isinstance(t, tuple) for t in sol.triples)
+        b = BitMatrix(a.n_rows, a.n_cols, a.rows)
+        assert b == a and solve_standard_basis(b) == sol and len(runs) == 2
 
 
 @st.composite
@@ -195,7 +208,9 @@ class TestStandardBasisOracle:
         sol = solve_standard_basis(a)
         ind_rows, ind_cols, triples = naive_standard_basis(list(a.rows), a.n_cols)
         assert sol.independent_rows == tuple(ind_rows)
-        assert sol.independent_cols == tuple(ind_cols)
+        assert rank(a) == len(ind_rows)
+        # the y span exactly the greedy independent columns
+        assert reduce(or_, (y.bits for y, _, _ in sol.triples), 0) == sum(1 << c for c in ind_cols)
         assert [(y.bits, r.bits, j) for y, r, j in sol.triples] == triples
         return sol.corank
 

@@ -211,12 +211,23 @@ class TestSelectFarMinima:
         inst, fam, sel = self._working_selection()
         gens = [fam.z_vectors[i] for i in sel.reserved_indices]
         gmat = BitMatrix(len(gens), 60, tuple(g.bits for g in gens))
-        assert rank(gmat) == len(gens) == sel.family.gamma_count
+        assert rank(gmat) == len(gens) == sel.gamma_count
         assert len({e.state.bits for e in sel.entries}) == len(sel.entries)
+
+    def test_selection_keeps_its_own_fields(self):
+        # the family is returned as given; the correction vectors are pairwise
+        # farther than beta*n apart and none is reserved as a generator
+        inst, fam, sel = self._working_selection()
+        assert sel.family is fam
+        assert len(sel.independent_set) == 2 ** fam.corank + 1
+        assert not set(sel.independent_set) & set(sel.reserved_indices)
+        z = fam.z_vectors
+        for i, j in itertools.combinations(sel.independent_set, 2):
+            assert (z[i] ^ z[j]).weight > Fraction(1, 10) * 60
 
     def test_count_cap(self):
         inst, fam, sel = self._working_selection()
-        cap = 2 ** sel.family.gamma_count - 1
+        cap = 2 ** sel.gamma_count - 1
         with pytest.raises(ValueError):
             select_far_minima(fam, inst, Fraction(1, 10), Fraction(1, 30), count=cap + 1)
 

@@ -1,4 +1,5 @@
-"""What the package loads at start-up, and whether pyproject declares what it imports."""
+"""What the package loads at start-up, whether pyproject declares what it imports, and
+whether the benchmark's timing shims still bind."""
 import ast
 import os
 import re
@@ -18,6 +19,19 @@ def test_entry_points_import_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_shims_bind_against_src():
+    # perfbench/tracing.py reads every binding it patches at import, so a
+    # binding missing from src/ fails here, not in a traced benchmark run
+    code = ("import tracing; "
+            "print(all(callable(getattr(owner, attr)) for owner, attr, _, _ in tracing._SHIMS))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "perfbench"),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
 
 
 def test_third_party_imports_are_the_declared_dependencies():
