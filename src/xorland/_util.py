@@ -12,26 +12,12 @@ def exact_fraction(x) -> Fraction:
     (``0.3`` becomes 3/10, not the binary float), keeping floors and
     ceilings of products like ``beta*n`` exact.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, float):
-        return Fraction(str(x))
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise ValueError(f"{x!r} has a zero denominator") from None
-    raise TypeError(f"cannot interpret {x!r} as an exact fraction")
-
-
-def frac_floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def frac_ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+        x = str(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r} has a zero denominator") from None
 
 
 def entropy(x: float) -> float:

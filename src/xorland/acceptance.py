@@ -238,7 +238,7 @@ def criterion_7() -> CriterionResult:
             continue
         fam = minima.build_family(inst.matrix, d_cap=2)
         try:
-            sel = minima.select_far_minima(fam, inst, beta=Fraction(1, 10), gamma=Fraction(1, 30), count=3)
+            sel = minima.select_far_minima(fam, beta=Fraction(1, 10), gamma=Fraction(1, 30), count=3)
         except (minima.FamilyConstructionError, ValueError):
             continue
         gens = [fam.z_vectors[i] for i in sel.reserved_indices]
@@ -381,15 +381,18 @@ def run_criterion(number: int) -> CriterionResult:
     return CRITERIA[number]()
 
 
-def run_criteria(only: set[int] | None = None, echo: bool = True) -> list[CriterionResult]:
+def run_criteria(only: set[int] | None = None) -> list[CriterionResult]:
+    unknown = sorted((only or set()) - CRITERIA.keys())
+    if unknown:
+        raise ValueError(f"no criterion {', '.join(map(str, unknown))}: "
+                         f"valid numbers are {min(CRITERIA)}-{max(CRITERIA)}")
     results = []
     for number in sorted(CRITERIA):
         if only and number not in only:
             continue
         result = run_criterion(number)
         results.append(result)
-        if echo:
-            status = "PASS" if result.passed else "FAIL"
-            print(f"[{status}] criterion {result.number}: {result.title} "
-                  f"({result.elapsed:.1f}s) — {result.details}")
+        status = "PASS" if result.passed else "FAIL"
+        print(f"[{status}] criterion {result.number}: {result.title} "
+              f"({result.elapsed:.1f}s) — {result.details}")
     return results

@@ -166,7 +166,7 @@ def _cmd_landscape(args) -> int:
         for res in landscape.barriers_to_ground(inst, states):
             records.append({
                 "state": res.s.to01(),
-                "energy": landscape.energy(inst, res.s),
+                "energy": res.height - res.barrier,
                 "height": res.height,
                 "barrier": res.barrier,
                 "ground": res.t.to01(),
@@ -207,7 +207,7 @@ def _cmd_minima(args) -> int:
     records = []
     if far:
         count = 1 if args.count is None else args.count
-        sel = minima.select_far_minima(fam, inst, args.beta, args.gamma, count=count)
+        sel = minima.select_far_minima(fam, args.beta, args.gamma, count=count)
         for e in sel.entries:
             records.append({
                 "state": e.state.to01(),

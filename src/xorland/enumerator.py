@@ -59,10 +59,7 @@ class IntPoly:
         return tuple(d for d, c in enumerate(self.coeffs) if c)
 
     def support_gcd(self) -> int:
-        g = 0
-        for d in self.support():
-            g = math.gcd(g, d)
-        return g
+        return math.gcd(*self.support())
 
     def halve_degrees(self) -> "IntPoly":
         """Substitute z**2 -> z; requires all nonzero terms at even degree."""
@@ -335,12 +332,7 @@ def tau_power_inequality(k: int, tau: float) -> TauInequality:
     """Evaluate E_k(tau**(k-1)) <= (1 + tau**k)**(k-1); equality iff tau = 1."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    ek = even_weight_poly(k)
-    if tau == 1:
-        lhs = float(ek.evaluate(1))
-        rhs = float(2 ** (k - 1))
-        return TauInequality(lhs, rhs, True, True)
-    lhs = float(ek.evaluate(tau ** (k - 1)))
+    lhs = float(even_weight_poly(k).evaluate(tau ** (k - 1)))
     rhs = float((1.0 + tau**k) ** (k - 1))
     return TauInequality(lhs, rhs, lhs <= rhs, math.isclose(lhs, rhs, rel_tol=1e-15))
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from math import ceil, comb, floor
 from operator import or_
 from typing import Iterable
 
-from ._util import entropy, exact_fraction, frac_ceil, frac_floor
+from ._util import entropy, exact_fraction
 from .gf2 import BitMatrix
 from .rng import RngSpec
 
@@ -45,10 +45,10 @@ class ExpansionParams:
 
     @property
     def max_subset(self) -> int:
-        return frac_floor(self.omega)
+        return floor(self.omega)
 
     def required_boundary(self, w: int) -> int:
-        return frac_ceil(self.eta * w)
+        return ceil(self.eta * w)
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ def expansion_failure_bound(k: int, n: int, w: int, delta) -> Fraction:
     eta = k - 1 - exact_fraction(delta)
     if eta <= 0:
         raise ValueError("need eta = k - 1 - delta > 0")
-    fw = frac_floor(eta * w)
+    fw = floor(eta * w)
     if fw > n:
         return Fraction(0)
     num = comb(n, w) * comb(n, fw) * comb(k * fw, k * w)
@@ -249,7 +249,7 @@ def default_beta(k: int, delta, n: int = 100_000) -> Fraction:
     eta = k - 1 - delta_f
     if eta <= 1:
         raise ValueError("need eta = k - 1 - delta > 1")
-    w = frac_floor(Fraction(2) / delta_f) + 1
+    w = floor(Fraction(2) / delta_f) + 1
     prev = expansion_failure_exponent(k, n, w, delta_f)
     while True:
         w2 = w + 1

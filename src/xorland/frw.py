@@ -30,10 +30,8 @@ class WalkTrace:
     steps: int
     terminal: State
     hit_ground: bool
-    rng: RngSpec
     energies: tuple[int, ...] | None = None
     distances: tuple[int, ...] | None = None
-    record_every: int | None = None
 
 
 _CHUNK_MIN, _CHUNK_MAX = 256, 1024  # raw draws per refill; even, so a step never straddles two
@@ -115,10 +113,8 @@ def frw_run(
         steps=steps,
         terminal=BitVector(n, s),
         hit_ground=(v == 0),
-        rng=rng,
         energies=tuple(energies) if energies is not None else None,
         distances=tuple(dists) if dists is not None else None,
-        record_every=record_every,
     )
 
 
@@ -187,11 +183,15 @@ def frw_experiment(
     the summaries do not depend on execution order.  Censored runs (cap
     reached) are reported as counts and enter the median at the cap value.
     """
+    if not n_list:
+        raise ValueError("n_list must name at least one n")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     if trials * len(n_list) >= 1_000_000:
         raise ValueError("too many trials for the stream layout")
-    _check_start_width(max(n_list, default=0))  # before the first instance is sampled
+    _check_start_width(max(n_list))  # these checks all run before the first instance is sampled
     # Each master stream owns a disjoint window of derived streams, so two
     # experiments with different streams (same seed) never share draws.
     base = rng.stream * 2_000_003

@@ -59,14 +59,10 @@ class BitVector:
         """Parse a string like ``"1110"``; character ``i`` is coordinate ``i``."""
         if not text or set(text) - {"0", "1"}:
             raise ValueError(f"not a 0/1 string: {text!r}")
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-        return cls(len(text), bits)
+        return cls(len(text), int(text[::-1], 2))
 
     def to01(self) -> str:
-        return "".join("1" if self.bits >> i & 1 else "0" for i in range(self.length))
+        return format(self.bits, f"0{self.length}b")[::-1]
 
     @property
     def weight(self) -> int:
@@ -190,10 +186,6 @@ class BitMatrix:
 
     def to_dense(self) -> list[list[int]]:
         return [[self.rows[i] >> j & 1 for j in range(self.n_cols)] for i in range(self.n_rows)]
-
-    @classmethod
-    def from_dense(cls, array, k_regular: int | None = None) -> "BitMatrix":
-        return cls.from_rows([list(row) for row in array], k_regular)
 
 
 def mul_vec(a: BitMatrix, x: BitVector) -> BitVector:

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix
 from .landscape import Instance
 from .rng import PHILOX, RngSpec
 
@@ -145,7 +145,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, default=_json_default) + "\n"
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def write_json(self, path: str | Path):
         Path(path).write_text(self.to_json())
@@ -153,28 +153,12 @@ class Report:
     def to_csv(self) -> str:
         buf = io.StringIO()
         if self.records:
-            fields = []
-            for rec in self.records:
-                for key in rec:
-                    if key not in fields:
-                        fields.append(key)
-            writer = csv.DictWriter(buf, fieldnames=fields)
+            fields = dict.fromkeys(key for rec in self.records for key in rec)
+            writer = csv.DictWriter(buf, fieldnames=list(fields))
             writer.writeheader()
-            for rec in self.records:
-                writer.writerow({k: _csv_value(v) for k, v in rec.items()})
+            writer.writerows(self.records)
         return buf.getvalue()
 
     def write_csv(self, path: str | Path):
         Path(path).write_text(self.to_csv())
 
-
-def _json_default(obj):
-    if isinstance(obj, BitVector):
-        return obj.to01()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _csv_value(v):
-    if isinstance(v, BitVector):
-        return v.to01()
-    return v

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import ceil
 from operator import or_
 from typing import Sequence
 
-from ._util import exact_fraction, frac_ceil
+from ._util import exact_fraction
 from .gf2 import BitMatrix, BitVector, State, mul_vec, rank, solve_standard_basis
 from .landscape import Instance, ground_states, is_local_minimum
 
@@ -98,7 +99,6 @@ def build_family(a: BitMatrix, d_cap: int = 8) -> MinimaFamily:
         if marks & marked == 0:
             marked |= marks
             selected.append((y, j))
-    m = len(selected)
     y_vectors = tuple(y for y, _ in selected)
     selected_rows = tuple(j for _, j in selected)
     common_r = BitVector(a.n_rows, best_bits)
@@ -205,8 +205,8 @@ def certified_barrier_bound(eta, omega, energy_u: int, conditional: bool = False
     """
     eta_f = exact_fraction(eta)
     omega_f = exact_fraction(omega)
-    half = frac_ceil(omega_f / 2)
-    raw = frac_ceil(eta_f * half) - energy_u
+    half = ceil(omega_f / 2)
+    raw = ceil(eta_f * half) - energy_u
     if raw <= 0:
         return BarrierCertificate(bound=0, vacuous=True, conditional=conditional)
     return BarrierCertificate(bound=raw, vacuous=False, conditional=conditional)
@@ -218,7 +218,6 @@ class FarMinimum:
     energy: int
     distances_to_ground: tuple[int, ...]
     corrected: bool
-    correction_index: int | None
 
 
 @dataclass(frozen=True)
@@ -227,21 +226,13 @@ class FarMinimaSelection:
     ``reserved_indices`` (the ``gamma_count`` generators) index its z vectors."""
 
     family: MinimaFamily
-    beta: Fraction
-    gamma: Fraction
     reserved_indices: tuple[int, ...]
     entries: tuple[FarMinimum, ...]
     independent_set: tuple[int, ...]
     gamma_count: int
 
 
-def select_far_minima(
-    fam: MinimaFamily,
-    inst: Instance,
-    beta,
-    gamma,
-    count: int,
-) -> FarMinimaSelection:
+def select_far_minima(fam: MinimaFamily, beta, gamma, count: int) -> FarMinimaSelection:
     """Local minima certified to lie farther than beta*n/2 from every ground state.
 
     Builds the auxiliary graph on the z vectors (edges where the XOR
@@ -252,15 +243,14 @@ def select_far_minima(
     its pigeonhole correction, re-verified as a local minimum with exact
     distances to all ground states.
     """
-    if fam.matrix != inst.matrix:
-        raise ValueError("family and instance matrices differ")
+    inst = Instance(fam.matrix, fam.k)
     beta_f = exact_fraction(beta)
     gamma_f = exact_fraction(gamma)
     n = inst.n
     grounds = ground_states(inst)
     z = fam.z_vectors
     need_indep = 2**fam.corank + 1
-    gamma_count = frac_ceil(gamma_f * n)
+    gamma_count = ceil(gamma_f * n)
     if gamma_count < 1:
         raise ValueError("gamma too small: no generators requested")
     if gamma_count + need_indep > len(z):
@@ -295,14 +285,12 @@ def select_far_minima(
             bits ^= z[reserved[pos]].bits
         u = BitVector(n, bits)
         corrected = False
-        correction = None
         if not _far_from_all(u, grounds, half):
             for ell in independent:
                 cand = u ^ z[ell]
                 if _far_from_all(cand, grounds, half):
                     u = cand
                     corrected = True
-                    correction = ell
                     break
             else:
                 raise FamilyConstructionError(
@@ -312,17 +300,10 @@ def select_far_minima(
         if not is_local_minimum(inst, u):
             raise AssertionError("constructed state is not a local minimum")
         dists = tuple((u ^ g).weight for g in grounds)
-        entries.append(
-            FarMinimum(
-                state=u,
-                energy=mul_vec(inst.matrix, u).weight,
-                distances_to_ground=dists,
-                corrected=corrected,
-                correction_index=correction,
-            )
-        )
-    return FarMinimaSelection(fam, beta_f, gamma_f, tuple(reserved), tuple(entries),
-                              tuple(independent), gamma_count)
+        entries.append(FarMinimum(state=u, energy=mul_vec(inst.matrix, u).weight,
+                                  distances_to_ground=dists, corrected=corrected))
+    return FarMinimaSelection(fam, tuple(reserved), tuple(entries), tuple(independent),
+                              gamma_count)
 
 
 def _far_from_all(u: BitVector, grounds, half_threshold: Fraction) -> bool:

@@ -291,6 +291,18 @@ class TestWalkAndMinima:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and "64-bit" in line
 
+    @pytest.mark.parametrize("extra,message", [
+        (["--n-list", ""], "n_list must name at least one n"),
+        (["--n-list", "12", "--cap", "0"], "cap must be >= 1"),
+    ], ids=["empty-n-list", "cap-0"])
+    def test_walk_experiment_checks_before_sampling(self, extra, message, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an instance was sampled before the arguments were checked")
+
+        monkeypatch.setattr(Instance, "random", refuse)
+        assert main(["walk", "--experiment", "--k", "6", "--trials", "1", *extra]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_walk_zero_trials_is_one(self, eq1_file, capsys):
         assert main(["walk", "--in", str(eq1_file), "--trials", "0"]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: trials must be >= 1"]
@@ -380,6 +392,21 @@ class TestExitCodes:
 
 
 class TestVerifySubcommand:
+    @pytest.mark.parametrize("only,named", [("11", "11"), ("0,3", "0")], ids=["11", "0,3"])
+    def test_unknown_criterion_is_one(self, only, named, monkeypatch, capsys, tmp_path):
+        from xorland import acceptance
+
+        def refuse(number):
+            raise AssertionError(f"criterion {number} ran")
+
+        monkeypatch.setattr(acceptance, "run_criterion", refuse)
+        out = tmp_path / "v.json"
+        assert main(["verify", "--only", only, "--json", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [
+            f"error: no criterion {named}: valid numbers are 1-10"]
+
     def test_verify_single_criterion(self, tmp_path, capsys):
         out = tmp_path / "v.json"
         code = main(["verify", "--only", "1", "--json", str(out)])

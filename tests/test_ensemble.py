@@ -69,7 +69,7 @@ class TestSampleKRegular:
         res = sample_k_regular(3, 8, RngSpec(11))
         dense = res.matrix.to_dense()
         assert max(max(row) for row in dense) <= 1
-        assert BitMatrix.from_dense(dense, k_regular=3) == res.matrix
+        assert BitMatrix.from_rows(dense, k_regular=3) == res.matrix
 
     def test_first_pairing_is_sample_configuration(self):
         # one stream: with no rejection, the sample is the first pairing's matrix

@@ -20,7 +20,7 @@ from xorland.gf2 import BitMatrix, enumerate_kernel
 from xorland.landscape import Instance
 from xorland.oracles import exact_expansion_profile
 from xorland.rng import RngSpec
-from xorland._util import entropy, frac_floor
+from xorland._util import entropy, exact_fraction
 
 
 class TestBoundaryCount:
@@ -315,11 +315,33 @@ class TestUnionBound:
         beta = Fraction(11, 1000)
         sums = []
         for n in (200, 400, 800):
-            top = frac_floor(beta * n)
+            top = math.floor(beta * n)
             sums.append(
                 sum((expansion_failure_bound(3, n, w, 0.5) for w in range(1, top + 1)), Fraction(0))
             )
         assert sums[0] > sums[1] > sums[2]
+
+
+class TestExactFraction:
+    @pytest.mark.parametrize("value,expected", [
+        (3, Fraction(3)),
+        (Fraction(1, 3), Fraction(1, 3)),
+        ("0.3", Fraction(3, 10)),
+        (0.3, Fraction(3, 10)),  # the decimal written, not the binary float
+        ("-2/4", Fraction(-1, 2)),
+    ])
+    def test_exact_values(self, value, expected):
+        got = exact_fraction(value)
+        assert type(got) is Fraction and got == expected
+
+    def test_zero_denominator_is_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            exact_fraction("1/0")
+
+    @pytest.mark.parametrize("value", [None, [1]])
+    def test_non_numbers_are_type_errors(self, value):
+        with pytest.raises(TypeError):
+            exact_fraction(value)
 
 
 class TestLargeDeviationExponent:
@@ -354,7 +376,7 @@ class TestLargeDeviationExponent:
         assert 0 < beta < Fraction(1, 4)
         # L decreasing on the scanned range just past 2/delta
         n = 1000
-        start = frac_floor(Fraction(2) / Fraction(1, 2)) + 1
-        stop = frac_floor(beta * n)
+        start = math.floor(Fraction(2) / Fraction(1, 2)) + 1
+        stop = math.floor(beta * n)
         values = [expansion_failure_exponent(3, n, w, 0.5) for w in range(start, stop + 1)]
         assert all(a > b for a, b in zip(values, values[1:]))

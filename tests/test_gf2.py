@@ -40,6 +40,19 @@ class TestBitVector:
         assert v.to01() == "1110"
         assert v.weight == 3
         assert v.support() == (0, 1, 2)
+        # character i is bit i, so leading and trailing zeros both survive; 5,000
+        # bits is past CPython's 4,300-digit int/str limit, which spares base 2
+        for text in ["0", "1", "00010110", "100000000", "01" * 32, "0" + "1" * 63 + "0",
+                     "0" + "10" * 2499 + "0"]:
+            v = BitVector.from01(text)
+            assert (v.length, v.to01()) == (len(text), text)
+            assert v.support() == tuple(i for i, ch in enumerate(text) if ch == "1")
+
+    @pytest.mark.parametrize("text", ["", "012", "1_0", " 10", "10\n"])
+    def test_from01_rejects_non_binary(self, text):
+        # int("1_0", 2) and int(" 10", 2) parse, so the 0/1 check must come first
+        with pytest.raises(ValueError):
+            BitVector.from01(text)
 
     def test_weights(self):
         assert BitVector.from01("0000").weight == 0

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorland.gf2 import BitVector
 from xorland.instances import ParseError, Report, export_cnf, read_instance, write_instance
 from xorland.landscape import Instance, energy_table
 from xorland.oracles import parse_dimacs, violated_clause_count
@@ -144,7 +143,7 @@ class TestReport:
             experiment="demo",
             parameters={"k": 3, "n": 10},
             rng=RngSpec(1, stream=2),
-            records=[{"state": BitVector.from01("01"), "value": 1}],
+            records=[{"state": "01", "value": 1}],
             summary={"total": 1},
         )
         path = tmp_path / "r.json"

@@ -195,7 +195,7 @@ class TestSelectFarMinima:
                 continue
             fam = build_family(inst.matrix, d_cap=2)
             try:
-                sel = select_far_minima(fam, inst, Fraction(1, 10), Fraction(1, 30), count=3)
+                sel = select_far_minima(fam, Fraction(1, 10), Fraction(1, 30), count=3)
                 return inst, fam, sel
             except (FamilyConstructionError, ValueError):
                 continue
@@ -229,12 +229,12 @@ class TestSelectFarMinima:
         inst, fam, sel = self._working_selection()
         cap = 2 ** sel.gamma_count - 1
         with pytest.raises(ValueError):
-            select_far_minima(fam, inst, Fraction(1, 10), Fraction(1, 30), count=cap + 1)
+            select_far_minima(fam, Fraction(1, 10), Fraction(1, 30), count=cap + 1)
 
     def test_insufficient_vectors_reported(self, eq1_instance):
         fam = build_family(eq1_instance.matrix)
         with pytest.raises(FamilyConstructionError) as err:
-            select_far_minima(fam, eq1_instance, Fraction(1, 4), Fraction(1, 4), count=1)
+            select_far_minima(fam, Fraction(1, 4), Fraction(1, 4), count=1)
         assert err.value.achieved is not None
 
     def test_exhaustive_barrier_meets_certificate_smallest_scale(self):
