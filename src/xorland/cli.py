@@ -160,8 +160,8 @@ def _cmd_landscape(args) -> int:
     states = landscape.enumerate_local_minima(inst)
     records = []
     if args.no_barriers:
-        for s in states:
-            records.append({"state": s.to01(), "energy": landscape.energy(inst, s)})
+        for s, e in zip(states, landscape.energies(inst, states)):
+            records.append({"state": s.to01(), "energy": e})
     else:
         for res in landscape.barriers_to_ground(inst, states):
             records.append({
@@ -251,6 +251,8 @@ def _cmd_walk(args) -> int:
         return _usage_error(f"{', '.join(mixed)} apply only to walk --experiment")
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
+    if args.cap < 1:
+        raise ValueError("--cap must be >= 1")
     inst = read_instance(args.infile)
     records = []
     for t in range(args.trials):
@@ -354,8 +356,11 @@ def _cmd_verify(args) -> int:
     from . import acceptance
 
     only = None
-    if args.only:
+    if args.only is not None:
         only = {int(tok) for tok in args.only.split(",") if tok}
+        if not only:
+            raise ValueError(f"--only names no criterion: valid numbers are "
+                             f"{min(acceptance.CRITERIA)}-{max(acceptance.CRITERIA)}")
     results = acceptance.run_criteria(only=only)
     failed = [r for r in results if not r.passed]
     report = Report("verify", {"only": sorted(only) if only else None},

@@ -19,6 +19,9 @@ from .landscape import Instance
 from .rng import PHILOX, RngSpec
 
 FORMAT_VERSION = 1
+_SCALARS = {str, int, float, bool, type(None)}
+# C encoders (an indent turns it off) with separators one and two levels deep
+_FLAT, _ROWS = (json.JSONEncoder(separators=(",\n" + pad, ": ")).encode for pad in ("  ", "    "))
 
 
 class ParseError(ValueError):
@@ -121,6 +124,29 @@ def export_cnf(inst: Instance, path: str | Path):
     path.write_text("\n".join(out) + "\n")
 
 
+def _indented(obj) -> str:
+    """``json.dumps(obj, indent=2)``, the C encoder writing each container of
+    scalars and each list of non-empty flat dicts in one call.  Strings escape
+    their newlines, so raw ones come from separators and can be re-indented."""
+    if isinstance(obj, dict):
+        values, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        values, brackets = obj, "[]"
+    else:
+        return _FLAT(obj)
+    if {type(v) for v in values} <= _SCALARS:
+        text = _FLAT(obj)
+        return text if len(text) == 2 else f"{text[0]}\n  {text[1:-1]}\n{text[-1]}"
+    if brackets == "[]" and all(type(row) is dict and row for row in obj) and {
+            type(v) for row in obj for v in row.values()} <= _SCALARS:
+        # a separator between two rows is the only one between "}" and "{"
+        body = _ROWS(obj)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
+        return f"[\n  {{\n    {body}\n  }}\n]"
+    items = ([f"{_FLAT({key: 0})[1:-4]}: {_indented(v)}" for key, v in obj.items()]
+             if brackets == "{}" else [_indented(v) for v in obj])
+    return f"{brackets[0]}\n  " + ",\n".join(items).replace("\n", "\n  ") + f"\n{brackets[1]}"
+
+
 @dataclass
 class Report:
     """Structured experiment result with enough provenance to re-run."""
@@ -145,7 +171,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return _indented(self.to_dict()) + "\n"
 
     def write_json(self, path: str | Path):
         Path(path).write_text(self.to_json())

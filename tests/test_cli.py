@@ -307,6 +307,11 @@ class TestWalkAndMinima:
         assert main(["walk", "--in", str(eq1_file), "--trials", "0"]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: trials must be >= 1"]
 
+    def test_walk_zero_cap_is_one_before_reading(self, tmp_path, capsys):
+        missing = tmp_path / "missing.xnf"  # reading it would fail with another message
+        assert main(["walk", "--in", str(missing), "--trials", "1", "--cap", "0"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: --cap must be >= 1"]
+
     def test_walk_oversized_n_is_one(self, tmp_path, capsys):
         infile = tmp_path / "n70.xnf"
         write_instance(Instance.random(3, 70, RngSpec(1)), infile)
@@ -392,8 +397,13 @@ class TestExitCodes:
 
 
 class TestVerifySubcommand:
-    @pytest.mark.parametrize("only,named", [("11", "11"), ("0,3", "0")], ids=["11", "0,3"])
-    def test_unknown_criterion_is_one(self, only, named, monkeypatch, capsys, tmp_path):
+    @pytest.mark.parametrize("only,message", [
+        ("11", "no criterion 11: valid numbers are 1-10"),
+        ("0,3", "no criterion 0: valid numbers are 1-10"),
+        (",", "--only names no criterion: valid numbers are 1-10"),
+        ("", "--only names no criterion: valid numbers are 1-10"),
+    ], ids=["11", "0,3", "comma", "empty"])
+    def test_unknown_criterion_is_one(self, only, message, monkeypatch, capsys, tmp_path):
         from xorland import acceptance
 
         def refuse(number):
@@ -404,8 +414,7 @@ class TestVerifySubcommand:
         assert main(["verify", "--only", only, "--json", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
-        assert captured.err.splitlines() == [
-            f"error: no criterion {named}: valid numbers are 1-10"]
+        assert captured.err.splitlines() == [f"error: {message}"]
 
     def test_verify_single_criterion(self, tmp_path, capsys):
         out = tmp_path / "v.json"

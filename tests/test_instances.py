@@ -11,6 +11,25 @@ from xorland.landscape import Instance, energy_table
 from xorland.oracles import parse_dimacs, violated_clause_count
 from xorland.rng import RngSpec
 
+DATA = Path(__file__).parent / "data"
+
+# strings that stress the writer: quotes, backslashes, raw newlines and other
+# control characters, non-ASCII text, and the separators it patches
+_TEXT = st.text(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "€", "😀",
+                                 "a", " ", ",", ":", "{", "}", "[", "]"]), max_size=8) | st.text(max_size=8)
+_SCALAR = (st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+           | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]))
+_VALUE = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=16,
+)
+# records as the commands write them: flat rows with varying key sets, and
+# lists that also hold empty rows and rows that hold a list
+_RECORDS = st.lists(st.dictionaries(_TEXT, _SCALAR, min_size=1, max_size=4), max_size=6) | st.lists(
+    st.dictionaries(_TEXT, _SCALAR | st.lists(_SCALAR, max_size=3), max_size=4), max_size=6)
+
 
 class TestInstanceFiles:
     def test_worked_example_file_content(self, eq1_instance, tmp_path):
@@ -152,6 +171,20 @@ class TestReport:
         assert data["format_version"] == 1
         assert data["rng"] == {"algorithm": "philox4x64", "seed": 1, "stream": 2}
         assert data["records"][0]["state"] == "01"
+
+    @pytest.mark.parametrize("golden", sorted(DATA.glob("*.json")), ids=lambda p: p.stem)
+    def test_golden_rewritten_byte_for_byte(self, golden):
+        text = golden.read_text()
+        data = json.loads(text)
+        rng = RngSpec(**data["rng"]) if data["rng"] else None
+        report = Report(data["experiment"], data["parameters"], rng, data["records"], data["summary"])
+        assert report.to_json() == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=_RECORDS, value=_VALUE, params=st.dictionaries(_TEXT, _SCALAR, max_size=4))
+    def test_json_matches_indented_dumps(self, records, value, params):
+        report = Report("demo", params, None, records=records, summary={"value": value})
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
 
     def test_csv_records(self, tmp_path):
         report = Report("demo", {}, None, records=[{"a": 1, "b": 2}, {"a": 3, "b": 4}])

@@ -10,6 +10,7 @@ from xorland.landscape import (
     barriers_to_ground,
     bottleneck_height,
     energy,
+    energies,
     energy_table,
     enumerate_local_minima,
     ground_states,
@@ -74,6 +75,34 @@ class TestEnergy:
         for s in range(0, 1 << 12, 11):
             for q in range(12):
                 assert abs(int(table[s]) - int(table[s ^ (1 << q)])) <= 3
+
+
+class TestEnergies:
+    """The vectorised energies against ``energy``, state by state."""
+
+    @pytest.mark.parametrize("k,n,seed", [(3, 18, 0), (4, 16, 1), (5, 16, 2), (6, 16, 3)])
+    def test_every_local_minimum(self, k, n, seed, shifted_instance):
+        if k >= 5:
+            inst = shifted_instance(k, n, seed)
+        else:
+            inst = Instance.random(k, n, RngSpec(107).with_stream(seed))
+        gen = RngSpec(109).generator(seed)
+        states = enumerate_local_minima(inst)
+        states += [BitVector(n, int(x)) for x in gen.integers(0, 1 << n, size=32)]
+        assert len(states) > 32
+        assert energies(inst, states) == [energy(inst, s) for s in states]
+
+    def test_scan_instance(self):
+        # the n = 26 instance of `gen --k 3 --n 26 --seed 1000`: 8,416 minima
+        inst = Instance.random(3, 26, RngSpec(1000))
+        states = enumerate_local_minima(inst)
+        assert len(states) == 8416
+        assert energies(inst, states) == [energy(inst, s) for s in states]
+
+    def test_empty_and_mismatched(self, eq1_instance):
+        assert energies(eq1_instance, []) == []
+        with pytest.raises(ValueError, match="length mismatch"):
+            energies(eq1_instance, [BitVector(4, 1), BitVector(5, 0)])
 
 
 class TestGroundStates:
