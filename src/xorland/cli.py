@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import math
 import sys
 
@@ -29,6 +30,7 @@ def _add_report(parser: argparse.ArgumentParser):
     parser.add_argument("--csv", metavar="PATH", help="write the report records as CSV")
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xorland",

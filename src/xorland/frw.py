@@ -6,16 +6,21 @@ violated-row vector v is kept as an int (one column-mask XOR per flip); the
 (r mod E)-th violated row, E = popcount(v), is found by scanning v a byte
 at a time through 256-entry popcount and set-position tables.  Two raw
 64-bit draws per step are reduced modulo the needed range (bias at most
-n / 2**63, negligible against every tolerance used in this package).  They
-are drawn lazily in even chunks of 256 doubling to 1024: Philox fills each
-int64 in [0, 2**63) from one 64-bit output with no rejection and no carried
-state, so any chunking yields the same stream, and the same walk.
+n / 2**63, negligible against every tolerance used in this package), the
+variable draw in numpy.  They are drawn in even chunks of 256 doubling to
+1024, the last cut to the cap: Philox fills each int64 in [0, 2**63) from
+one 64-bit output with no rejection and no carried state, so any chunking
+yields the same stream, and the same walk.  A chunk is walked in blocks (up
+to its end or the next recorded step), each one tight loop that stops early
+only at energy 0; a block's step count is read from the draws it left.
 """
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import length_hint
 from typing import Sequence
 
 import numpy as np
@@ -78,15 +83,16 @@ def frw_run(
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if record_every is not None and record_every < 0:
+        raise ValueError("record_every must be >= 0")
     if s0.length != inst.n:
         raise ValueError("state length mismatch")
     n, k = inst.n, inst.k
     cols, supports = inst.matrix.column_masks, inst.matrix.row_supports
     s = s0.bits
+    bit = [1 << q for q in range(n)]
     v = mul_vec(inst.matrix, s0).bits
     gen = rng.generator()
-    draws: list[int] = []
-    pos, chunk = 0, _CHUNK_MIN
     energies: list[int] | None = [] if record_every else None
     dists: list[int] | None = [] if (record_every and grounds is not None) else None
 
@@ -97,18 +103,28 @@ def frw_run(
                 dists.append(min((s ^ g.bits).bit_count() for g in grounds))
 
     record()
-    steps = 0
+    steps, chunk = 0, _CHUNK_MIN
     while v and steps < max_steps:
-        if pos == len(draws):
-            draws = gen.integers(0, 1 << 63, size=chunk, dtype=np.int64).tolist()
-            pos, chunk = 0, min(2 * chunk, _CHUNK_MAX)
-        q = supports[_select(v, draws[pos] % v.bit_count())][draws[pos + 1] % k]
-        pos += 2
-        s ^= 1 << q
-        v ^= cols[q]
-        steps += 1
-        if record_every and steps % record_every == 0:
-            record()
+        raw = gen.integers(0, 1 << 63, size=min(chunk, 2 * (max_steps - steps)), dtype=np.int64)
+        raw[1::2] %= k
+        chunk = min(2 * chunk, _CHUNK_MAX)
+        it, first = iter(raw.tolist()), steps
+        while v and length_hint(it):
+            block = zip(it, it)
+            if record_every:
+                block = islice(block, record_every - steps % record_every)
+            for d1, j in block:
+                r = d1 % v.bit_count()
+                b = v & 255
+                c = _POP8[b]
+                q = supports[_BITS8[b][r] if r < c else _select(v >> 8, r - c) + 8][j]
+                s ^= bit[q]
+                v ^= cols[q]
+                if not v:
+                    break
+            steps = first + (len(raw) - length_hint(it)) // 2
+            if record_every and steps % record_every == 0:
+                record()
     return WalkTrace(
         steps=steps,
         terminal=BitVector(n, s),
@@ -191,6 +207,8 @@ def frw_experiment(
         raise ValueError("cap must be >= 1")
     if trials * len(n_list) >= 1_000_000:
         raise ValueError("too many trials for the stream layout")
+    if len(n_list) > 1001:  # instance stream 1_000_000 + 1000 * ni must stay in its window
+        raise ValueError("too many n values for the stream layout")
     _check_start_width(max(n_list))  # these checks all run before the first instance is sampled
     # Each master stream owns a disjoint window of derived streams, so two
     # experiments with different streams (same seed) never share draws.

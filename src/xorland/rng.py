@@ -2,9 +2,9 @@
 
 An :class:`RngSpec` names a generator algorithm, a 64-bit seed, and a stream
 index.  Identical specs produce identical sample sequences, and jump-indexed
-sub-streams are collision-free (each jump advances the Philox counter by
-2**128 draws), so per-trial streams stay reproducible no matter how trials
-are scheduled.
+sub-streams are collision-free (sub-stream j starts the Philox counter at
+j * 2**128, where ``Philox.jumped(j)`` puts it), so per-trial streams stay
+reproducible no matter how trials are scheduled.
 """
 from __future__ import annotations
 
@@ -28,12 +28,12 @@ class RngSpec:
             raise ValueError(f"unknown rng algorithm {self.algorithm!r}")
 
     def generator(self, jump: int = 0) -> np.random.Generator:
-        """Instantiate the generator; ``jump`` selects a disjoint sub-stream."""
+        """Instantiate the generator; ``jump`` in [0, 2**64) selects a disjoint sub-stream."""
+        if not 0 <= jump <= _MASK64:
+            raise ValueError("jump must be in [0, 2**64)")
         key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
-        bg = np.random.Philox(key=key)
-        if jump:
-            bg = bg.jumped(jump)
-        return np.random.Generator(bg)
+        counter = np.array([0, 0, jump, 0], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
     def with_stream(self, stream: int) -> "RngSpec":
         return replace(self, stream=stream)

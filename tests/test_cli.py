@@ -294,7 +294,8 @@ class TestWalkAndMinima:
     @pytest.mark.parametrize("extra,message", [
         (["--n-list", ""], "n_list must name at least one n"),
         (["--n-list", "12", "--cap", "0"], "cap must be >= 1"),
-    ], ids=["empty-n-list", "cap-0"])
+        (["--n-list", ",".join(["12"] * 1002)], "too many n values for the stream layout"),
+    ], ids=["empty-n-list", "cap-0", "1002-n-values"])
     def test_walk_experiment_checks_before_sampling(self, extra, message, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("an instance was sampled before the arguments were checked")
@@ -440,3 +441,21 @@ def test_every_option_is_read():
                 assert "_finish(" in source, (command, action.dest)
             else:
                 assert f"args.{action.dest}" in source, (command, action.dest)
+
+
+def test_one_parser_per_process(tmp_path, capsys):
+    # main reuses one parser; no option of one call may reach the next
+    assert cli.build_parser() is cli.build_parser()
+    infile = tmp_path / "k3n12.xnf"
+    write_instance(Instance.random(3, 12, RngSpec(5)), infile)
+    out = {name: tmp_path / f"{name}.json" for name in ("first", "walk", "bare", "again")}
+    assert main(["landscape", "--in", str(infile), "--json", str(out["first"])]) == 0
+    assert main(["walk", "--in", str(infile), "--trials", "2", "--cap", "50", "--seed", "3",
+                 "--stream", "4", "--json", str(out["walk"])]) == 0
+    assert main(["landscape", "--in", str(infile), "--no-barriers", "--json", str(out["bare"])]) == 0
+    assert main(["landscape", "--in", str(infile), "--json", str(out["again"])]) == 0
+    assert out["again"].read_bytes() == out["first"].read_bytes()
+    assert out["bare"].read_bytes() != out["first"].read_bytes()
+    argv = ["walk", "--in", str(infile)]
+    assert vars(cli.build_parser().parse_args(argv)) == vars(
+        cli.build_parser.__wrapped__().parse_args(argv))

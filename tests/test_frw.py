@@ -84,6 +84,10 @@ class TestFrwRun:
         if trace.hit_ground:
             assert trace.energies[-1] == 0
 
+    def test_negative_record_every_rejected(self, eq1_instance):
+        with pytest.raises(ValueError, match="record_every must be >= 0"):
+            frw_run(eq1_instance, BitVector.from01("1110"), RngSpec(9), 10, record_every=-3)
+
     def test_each_step_flips_one_bit(self, eq1_instance):
         # reconstruct flips from a recorded energy walk on a small instance
         inst = Instance.random(3, 10, RngSpec(11))
@@ -113,6 +117,28 @@ class TestWalkOracleDifferential:
             trace = frw_run(inst, s0, rng, cap, record_every=record_every, grounds=gs)
             got = (trace.steps, trace.terminal, trace.hit_ground, trace.energies, trace.distances)
             assert got == naive_frw_run(inst, s0, rng, cap, record_every, gs)
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_chunk_and_record_edges(self, k, shifted_instance):
+        # chunks of 128, 256, 512, 512, ... draw pairs end at steps 128, 384, 896, 1408, ...;
+        # record_every 64 divides every chunk's pair count, 7 does not, 1000 exceeds the cap
+        n = 40
+        if k >= 5:
+            inst = shifted_instance(k, n, 100 * k + n)
+        else:
+            inst = Instance.random(k, n, RngSpec(61).with_stream(100 * k + n))
+        grounds = ground_states(inst)
+        starts = random.Random(k)
+        cases = [(edge + past, None) for edge in (128, 384, 896, 1408) for past in (0, 1)]
+        cases += [(385, 1), (897, 1000), (1409, 64), (1409, 7)]
+        for cap, record_every in cases:
+            s0 = BitVector(n, starts.getrandbits(n))
+            rng = RngSpec(k, stream=cap)
+            gs = grounds if record_every else None
+            trace = frw_run(inst, s0, rng, cap, record_every=record_every, grounds=gs)
+            got = (trace.steps, trace.terminal, trace.hit_ground, trace.energies, trace.distances)
+            assert got == naive_frw_run(inst, s0, rng, cap, record_every, gs), (cap, record_every)
+            assert trace.steps == cap  # these walks reach the edge they test
 
     def test_step_is_first_step_of_run(self):
         inst = Instance.random(3, 20, RngSpec(67))
@@ -261,4 +287,12 @@ class TestExperiment:
         monkeypatch.setattr(Instance, "random", classmethod(lambda cls, *args: sampled.append(args)))
         with pytest.raises(ValueError, match="64-bit"):
             frw_experiment(3, [10, 70], trials=1, cap=10, rng=RngSpec(1))
+        assert sampled == []
+
+    def test_too_many_n_rejected_before_sampling(self, monkeypatch):
+        # entry 1001's instance stream would leave master stream 0's window of 2,000,003
+        sampled = []
+        monkeypatch.setattr(Instance, "random", classmethod(lambda cls, *args: sampled.append(args)))
+        with pytest.raises(ValueError, match="too many n values for the stream layout"):
+            frw_experiment(3, [8] * 1002, trials=1, cap=10, rng=RngSpec(1))
         assert sampled == []
