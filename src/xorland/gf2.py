@@ -3,6 +3,9 @@
 Vectors and matrix rows are stored as Python integers, one bit per
 coordinate (bit ``j`` is coordinate ``j``), so XOR, AND and popcount run
 word-parallel on arbitrary sizes.  All types are immutable and hashable.
+Both kernels read tables of XOR sums (the Method of Four Russians): the
+elimination clears 8 columns from every row in one lookup and XOR, and a
+product adds one of a matrix's cached sums of 4 columns per 4 bits of x.
 """
 from __future__ import annotations
 
@@ -21,6 +24,14 @@ class KernelTooLargeError(ValueError):
         )
         self.dimension = dimension
         self.cap = cap
+
+
+def _sums(masks: Sequence[int]) -> list[int]:
+    """Entry x is the XOR of masks[t] over the set bits t of x."""
+    table = [0]
+    for m in masks:
+        table += [t ^ m for t in table]
+    return table
 
 
 def _set_bits(x: int) -> tuple[int, ...]:
@@ -162,6 +173,11 @@ class BitMatrix:
         return tuple(_set_bits(c) for c in self.column_masks)
 
     @cached_property
+    def _column_tables(self) -> tuple[tuple[int, ...], ...]:
+        """``_sums`` of each 4 columns in turn, so ``mul_vec`` reads one per 4 bits of x."""
+        return tuple(tuple(_sums(self.column_masks[g:g + 4])) for g in range(0, self.n_cols, 4))
+
+    @cached_property
     def _standard_basis(self) -> "StandardBasisSolution":
         """What ``solve_standard_basis`` returns: eliminated on first use, then shared."""
         m, n_cols = self.n_rows, self.n_cols
@@ -189,13 +205,16 @@ class BitMatrix:
 
 
 def mul_vec(a: BitMatrix, x: BitVector) -> BitVector:
-    """Matrix-vector product over GF(2)."""
+    """Matrix-vector product over GF(2): one table lookup per 4 columns of x."""
     if x.length != a.n_cols:
         raise ValueError(f"dimension mismatch: {a.n_rows}x{a.n_cols} matrix, length-{x.length} vector")
     bits = 0
     xb = x.bits
-    for i, row in enumerate(a.rows):
-        bits |= ((row & xb).bit_count() & 1) << i
+    for table in a._column_tables:
+        if not xb:
+            break
+        bits ^= table[xb & 15]
+        xb >>= 4
     return BitVector(a.n_rows, bits)
 
 
@@ -205,24 +224,46 @@ def _reduced_echelon(masks: Sequence[int], n_cols: int) -> tuple[list[int], list
     Returns (reduced rows, pivot column per row), both in pivot order, and
     the inputs reduced to zero on the low n_cols bits, in input order.  Bits
     above n_cols ride along, so tagged inputs keep the inputs they sum.
+
+    Columns go in blocks of 8 (the Method of Four Russians).  The block's
+    pivots are the work rows, in input order, outside the span of the block
+    values before them; once reduced against each other on their lowest
+    bits, a table of their 2**8 sums clears the block from every other row
+    in one XOR.  The pivots are the greedy input-order independent set and
+    every XOR sums rows of it, so the output is the column-at-a-time one.
     """
-    work = list(masks)
-    reduced: list[int] = []
-    pivots: list[int] = []
-    for col in range(n_cols):
-        bit = 1 << col
-        pivot_row = None
-        for idx, m in enumerate(work):
-            if m & bit:
-                pivot_row = idx
+    work, reduced, pivots = list(masks), [], []
+    for c0 in range(0, n_cols, 8):
+        width = min(8, n_cols - c0)
+        low, top = (1 << width) - 1, (1 << c0 + width) - 1
+        vals = [(m & top) >> c0 for m in work]  # block values; the mask first keeps the shift short
+        span, block, chosen = {0}, {}, []
+        for idx in [i for i, v in enumerate(vals) if v]:
+            v = vals[idx]
+            if v in span:
+                continue
+            span |= {u ^ v for u in span}
+            chosen.append(idx)
+            m = work[idx]
+            for lead, p in block.items():  # clear the earlier leads from m, then m's lead from them
+                if m >> lead & 1:
+                    m ^= p
+            v = m >> c0 & low
+            lead = c0 + (v & -v).bit_length() - 1
+            block = {q: p ^ m if p >> lead & 1 else p for q, p in block.items()}
+            block[lead] = m
+            if len(span) > low:
                 break
-        if pivot_row is None:
+        if not block:
             continue
-        piv = work.pop(pivot_row)
-        work = [m ^ piv if m & bit else m for m in work]
-        reduced = [m ^ piv if m & bit else m for m in reduced]
-        reduced.append(piv)
-        pivots.append(col)
+        block = dict(sorted(block.items()))
+        table = _sums([block.get(c, 0) for c in range(c0, c0 + width)])
+        for idx in reversed(chosen):
+            del work[idx], vals[idx]
+        work = [m ^ table[v] if v else m for m, v in zip(work, vals)]
+        reduced = [m ^ table[v] if (v := (m & top) >> c0) else m for m in reduced]
+        reduced += block.values()
+        pivots += block
         if not work:
             break
     return reduced, pivots, work

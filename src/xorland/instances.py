@@ -47,7 +47,7 @@ def write_instance(inst: Instance, path: str | Path):
 
 def read_instance(path: str | Path) -> Instance:
     path = Path(path)
-    header = None
+    header_line = None
     provenance = None
     supports: list[tuple[int, ...]] = []
     k = n = 0
@@ -55,7 +55,7 @@ def read_instance(path: str | Path) -> Instance:
         text = raw.strip()
         if not text:
             continue
-        if header is None:
+        if header_line is None:
             parts = text.split()
             if len(parts) != 3 or parts[0] != "x":
                 raise ParseError(f"expected header 'x k n', got {text!r}", lineno)
@@ -65,7 +65,7 @@ def read_instance(path: str | Path) -> Instance:
                 raise ParseError("k and n must be integers", lineno) from None
             if k < 1 or n < k:
                 raise ParseError(f"need n >= k >= 1, got k={k} n={n}", lineno)
-            header = (k, n)
+            header_line = lineno
             continue
         if text.startswith("c"):
             parts = text.split()
@@ -90,15 +90,19 @@ def read_instance(path: str | Path) -> Instance:
         if indices[0] < 1 or indices[-1] > n:
             raise ParseError(f"index out of range 1..{n}", lineno)
         supports.append(tuple(j - 1 for j in indices))
-    if header is None:
+    if header_line is None:
         raise ParseError("empty file", 1)
     if len(supports) != n:
         raise ParseError(f"expected {n} equation lines, found {len(supports)}", lineno if supports else 1)
-    matrix = BitMatrix.from_row_supports(n, supports)
-    for j, col in enumerate(matrix.column_supports):
-        if len(col) != k:
-            raise ParseError(f"column {j + 1} appears in {len(col)} equations, expected {k}", 1)
-    return Instance(matrix=BitMatrix(n, n, matrix.rows, k_regular=k), k=k, provenance=provenance)
+    degrees = [0] * n
+    for support in supports:
+        for j in support:
+            degrees[j] += 1
+    for j, degree in enumerate(degrees):
+        if degree != k:
+            raise ParseError(f"column {j + 1} appears in {degree} equations, expected {k}", header_line)
+    rows = tuple(sum(1 << j for j in support) for support in supports)
+    return Instance(matrix=BitMatrix(n, n, rows, k_regular=k), k=k, provenance=provenance)
 
 
 def export_cnf(inst: Instance, path: str | Path):

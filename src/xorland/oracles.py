@@ -3,7 +3,8 @@
 Everything here recomputes from first principles (direct parity counting,
 breadth-first threshold connectivity, literal-level clause evaluation, energy
 table sweeps, listed spans, listed column subsets, schoolbook polynomial
-products) and shares no code with the implementations it checks.
+products, column-at-a-time elimination) and shares no code with the
+implementations it checks.
 """
 from __future__ import annotations
 
@@ -141,6 +142,21 @@ def _first_independent(vectors: list[int]) -> list[int]:
             chosen.append(idx)
             span |= {u ^ v for u in span}
     return chosen
+
+
+def naive_reduced_echelon(masks: list[int], n_cols: int) -> tuple[list[int], list[int], list[int]]:
+    """``gf2._reduced_echelon`` one column at a time (Gauss-Jordan): the first
+    work row with the column's bit is its pivot and clears it from the rest."""
+    work, reduced, pivots = list(masks), [], []
+    for col in range(n_cols):
+        bit = 1 << col
+        piv = next((m for m in work if m & bit), None)
+        if piv is not None:
+            work.remove(piv)  # the first row equal to piv is piv: none before it has the bit
+            work = [m ^ piv if m & bit else m for m in work]
+            reduced = [m ^ piv if m & bit else m for m in reduced] + [piv]
+            pivots.append(col)
+    return reduced, pivots, work
 
 
 def naive_standard_basis(rows: list[int], n_cols: int) -> tuple[list[int], list[int], list]:

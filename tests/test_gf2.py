@@ -1,5 +1,6 @@
 from functools import reduce
 from operator import or_, xor
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,9 @@ from xorland.gf2 import (
     rank,
     solve_standard_basis,
 )
-from xorland.oracles import _first_independent, naive_standard_basis
+from xorland.landscape import Instance
+from xorland.oracles import _first_independent, naive_reduced_echelon, naive_standard_basis
+from xorland.rng import RngSpec
 
 
 @st.composite
@@ -91,14 +94,52 @@ class TestMulVec:
         assert mul_vec(eq1_matrix, BitVector.from01("1111")).to01() == "1111"
 
     def test_dimension_mismatch(self, eq1_matrix):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension mismatch: 4x4 matrix, length-5 vector"):
             mul_vec(eq1_matrix, BitVector(5, 0))
+        with pytest.raises(ValueError, match="dimension mismatch: 3x5 matrix, length-4 vector"):
+            mul_vec(BitMatrix.zeros(3, 5), BitVector(4, 1))
 
     @given(matrix_with_vectors())
     @settings(max_examples=80)
     def test_linearity(self, axy):
         a, x, y = axy
         assert mul_vec(a, x ^ y) == mul_vec(a, x) ^ mul_vec(a, y)
+
+
+class TestMulVecTables:
+    """mul_vec's per-4-column tables against the row-parity definition: bit i
+    of A x is the parity of row i & x."""
+
+    @staticmethod
+    def _agrees(a, xs):
+        for x in xs:
+            expect = sum(((row & x).bit_count() & 1) << i for i, row in enumerate(a.rows))
+            assert mul_vec(a, BitVector(a.n_cols, x)) == BitVector(a.n_rows, expect)
+
+    @pytest.mark.parametrize("n_cols", [1, 3, 4, 5, 499, 500])
+    @pytest.mark.parametrize("n_rows", ["square", "wide", "tall"])
+    def test_row_parity(self, n_cols, n_rows):
+        rng = random.Random(n_cols)
+        m = {"square": n_cols, "wide": max(1, n_cols // 3), "tall": 3 * n_cols + 1}[n_rows]
+        a = BitMatrix(m, n_cols, tuple(rng.getrandbits(n_cols) for _ in range(m)))
+        full = (1 << n_cols) - 1
+        self._agrees(a, [0, full, 1, 1 << n_cols - 1] + [rng.getrandbits(n_cols) for _ in range(20)])
+
+    def test_zeros(self):
+        for m, n in ((1, 1), (3, 5), (5, 3), (7, 9)):
+            a = BitMatrix.zeros(m, n)
+            self._agrees(a, range(1 << n))
+            assert mul_vec(a, BitVector(n, (1 << n) - 1)) == BitVector(m, 0)
+
+    def test_tables_built_once_per_matrix(self):
+        a = BitMatrix(3, 5, (0b10110, 0b00011, 0b11111))
+        assert "_column_tables" not in vars(a)
+        first = mul_vec(a, BitVector(5, 0b10101))
+        tables = vars(a)["_column_tables"]
+        assert [len(t) for t in tables] == [16, 2]
+        assert mul_vec(a, BitVector(5, 0b10101)) == first and vars(a)["_column_tables"] is tables
+        b = BitMatrix(a.n_rows, a.n_cols, a.rows)  # equal, but a new object builds its own
+        assert mul_vec(b, BitVector(5, 0b10101)) == first and vars(b)["_column_tables"] is not tables
 
 
 class TestRankAndKernel:
@@ -301,3 +342,70 @@ class TestIndexLists:
     @settings(max_examples=100)
     def test_random_rectangular(self, a):
         self._agrees(a)
+
+
+class TestReducedEchelonOracle:
+    """_reduced_echelon, eight columns a block, against the column-at-a-time
+    Gauss-Jordan oracle: the same reduced rows, pivot columns and leftovers,
+    bits above n_cols included."""
+
+    @staticmethod
+    def _agrees(masks, n_cols):
+        got = gf2._reduced_echelon(masks, n_cols)
+        assert got == naive_reduced_echelon(masks, n_cols)
+        return got
+
+    @staticmethod
+    def _tagged(masks, n_cols, gap=0):
+        return [m | 1 << (n_cols + gap + i) for i, m in enumerate(masks)]
+
+    @pytest.mark.parametrize("n_cols", [1, 2, 7, 8, 9, 12, 15, 16, 17, 23, 64, 70])
+    def test_shapes(self, n_cols):
+        # fewer inputs than coordinates, as many, and more
+        rng = random.Random(n_cols)
+        for n_in in sorted({1, max(1, n_cols // 2), n_cols, 2 * n_cols + 3}):
+            for density in (0.1, 0.5):
+                masks = [sum(1 << j for j in range(n_cols) if rng.random() < density)
+                         for _ in range(n_in)]
+                self._agrees(masks, n_cols)
+                self._agrees(self._tagged(masks, n_cols), n_cols)
+
+    @pytest.mark.parametrize("n_cols", [1, 8, 9, 30, 100])
+    def test_zero_duplicate_and_dependent_inputs(self, n_cols):
+        rng = random.Random(7 * n_cols)
+        masks = []
+        for i in range(n_cols + 10):
+            pick = i % 4
+            if pick == 0 or not masks:
+                masks.append(rng.getrandbits(n_cols))
+            elif pick == 1:
+                masks.append(0)
+            elif pick == 2:
+                masks.append(rng.choice(masks))
+            else:
+                masks.append(rng.choice(masks) ^ rng.choice(masks))
+        _, pivots, rest = self._agrees(masks, n_cols)
+        assert len(rest) >= len(masks) // 2 and rest.count(0) == len(rest)
+        # tags far above n_cols keep the inputs each leftover sums
+        for gap in (0, 3, 200):
+            _, _, rest = self._agrees(self._tagged(masks, n_cols, gap), n_cols)
+            assert all(r and not r & (1 << n_cols) - 1 for r in rest)
+
+    @given(st.integers(1, 24).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n + 12) - 1), max_size=40))))
+    @settings(max_examples=150)
+    def test_random_masks_with_high_bits(self, case):
+        n_cols, masks = case
+        self._agrees(masks, n_cols)
+
+    def test_k_regular(self, shifted_instance):
+        for k in (3, 4, 5):
+            for n in (16, 17, 65, 257):
+                a = shifted_instance(k, n, n + k).matrix
+                self._agrees(self._tagged(list(a.column_masks), n), n)
+                self._agrees(list(a.rows), n)
+
+    def test_sampled_n500(self):
+        a = Instance.random(3, 500, RngSpec(1)).matrix
+        _, pivots, rest = self._agrees(self._tagged(list(a.column_masks), 500), 500)
+        assert len(pivots) + len(rest) == 500

@@ -64,9 +64,14 @@ class TestInstanceFiles:
     def test_regularity_violation(self, tmp_path):
         path = tmp_path / "bad.xnf"
         # column 1 appears 4 times, column 4 twice
-        path.write_text("x 3 4\n1 2 3\n1 2 4\n1 2 3\n1 3 4\n")
-        with pytest.raises(ParseError, match="column"):
-            read_instance(path)
+        eqs = "1 2 3\n1 2 4\n1 2 3\n1 3 4\n"
+        # the error names the header's line, also after leading blank lines
+        for lead, line in (("", 1), ("\n \n", 3)):
+            path.write_text(f"{lead}x 3 4\n{eqs}")
+            with pytest.raises(ParseError) as err:
+                read_instance(path)
+            assert str(err.value) == f"line {line}: column 1 appears in 4 equations, expected 3"
+            assert err.value.line == line
 
     def test_wrong_equation_count(self, tmp_path):
         path = tmp_path / "bad.xnf"
