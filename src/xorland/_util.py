@@ -1,7 +1,6 @@
 """Small shared numeric helpers."""
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -18,10 +17,3 @@ def exact_fraction(x) -> Fraction:
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"{x!r} has a zero denominator") from None
-
-
-def entropy(x: float) -> float:
-    """Natural-log binary entropy H(x) = -x log x - (1-x) log(1-x)."""
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"entropy argument must lie in (0, 1), got {x}")
-    return -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)

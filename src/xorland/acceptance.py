@@ -269,14 +269,15 @@ def criterion_7() -> CriterionResult:
 def criterion_8() -> CriterionResult:
     title = "focused-walk drift >= 55/108 under verified expansion; hitting times grow"
     t0 = time.perf_counter()
-    bound = Fraction(55, 108)
+    delta = Fraction(1, 3)
+    bound = frw.focused_drift_lower_bound(6, delta)  # 55/108
     spec = RngSpec(seed=801)
     inst = Instance.random(6, 18, spec, max_tries=2 * 10**8)
     grounds = landscape.ground_states(inst)
     gen = spec.generator(jump=7)
     verified = 0
     drift_ok = True
-    eta_needed = Fraction(11, 3)  # k - 2 - delta at delta = 1/3
+    eta_needed = 6 - 2 - delta
     for g in grounds[:2]:
         for w in (1, 2, 3):
             for _ in range(40):

@@ -255,6 +255,8 @@ def _cmd_walk(args) -> int:
         raise ValueError("trials must be >= 1")
     if args.cap < 1:
         raise ValueError("--cap must be >= 1")
+    if spec.stream + args.trials >= 1 << 64:  # trial t draws from stream + 1 + t
+        raise ValueError("stream too large for the stream layout")
     inst = read_instance(args.infile)
     records = []
     for t in range(args.trials):

@@ -3,9 +3,9 @@
 The exact layer works in big integers and rationals: coefficients of large
 polynomial powers, the even-overlap enumerator B_k(n,w), and the weighted
 sum S_k(n) that bounds the expected kernel size of a random k-regular
-matrix.  The asymptotic layer (Gaussian local limit, saddle-point formula,
-large-deviation bounds) is float/log-space and is only ever validated
-against the exact layer, never against itself.
+matrix.  The asymptotic layer (local-limit approximation, saddle-point
+upper bounds) is float/log-space and is only ever validated against the
+exact layer, never against itself.
 """
 from __future__ import annotations
 
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Sequence
-
-from ._util import entropy, exact_fraction
 
 
 @dataclass(frozen=True)
@@ -124,17 +122,6 @@ def even_weight_poly(k: int) -> IntPoly:
     return IntPoly.from_coeffs(coeffs)
 
 
-def weight_enumerator(k: int, n: int, w: int) -> int:
-    """B_k(n, w): number of even-overlap row compositions, exactly.
-
-    Coefficient of z**(k*w) in the n-th power of the even-subset
-    polynomial; zero whenever k*w is odd.
-    """
-    if not 0 <= w <= n:
-        raise ValueError("need 0 <= w <= n")
-    return weight_enumerator_table(k, n)[w]
-
-
 def weight_enumerator_table(k: int, n: int) -> list[int]:
     """B_k(n, w) for w = 0..n, sharing one power computation."""
     half = even_weight_poly(k).halve_degrees()
@@ -202,18 +189,6 @@ def kernel_bound_sum(k: int, n: int) -> KernelBoundSum:
     return KernelBoundSum(sum(regions.values(), Fraction(0)), regions)
 
 
-def kernel_expectation_bound(k: int, n: int, rho) -> Fraction:
-    """Upper bound rho**-1 * S_k(n) on the expected kernel size (large n).
-
-    ``rho`` must be a positive constant below exp(-(k-1)**2/2), the
-    limiting probability that a configuration is simple.
-    """
-    rho_f = exact_fraction(rho)
-    if not 0 < rho_f < exact_fraction(math.exp(-((k - 1) ** 2) / 2)):
-        raise ValueError("rho must lie in (0, exp(-(k-1)^2/2))")
-    return kernel_bound_sum(k, n).total / rho_f
-
-
 def _check_local_limit_poly(p: IntPoly):
     if p.degree < 1:
         raise ValueError("polynomial must have degree >= 1")
@@ -263,46 +238,6 @@ def local_limit_approx(p: IntPoly, n: int, big_n: int, log: bool = False) -> flo
     return log_val if log else math.exp(log_val)
 
 
-def _saddle_root(p: IntPoly, lam: float) -> float:
-    """The last float x > 0 with x p'(x)/p(x) - lam <= 0: the saddle point.
-    x p'(x)/p(x) rises strictly on x > 0 (its derivative is the tilted
-    variance over x), so a bracket around 1 is bisected to adjacent floats."""
-    dp = p.derivative()
-
-    def mean_shift(x: float) -> float:
-        return x * dp.evaluate(x) / p.evaluate(x) - lam
-
-    lo, hi = 1.0, 1.0
-    while mean_shift(lo) > 0:
-        lo /= 2.0
-    while mean_shift(hi) <= 0:
-        hi *= 2.0
-    while lo < (mid := (lo + hi) / 2) < hi:  # mean_shift(lo) <= 0 < mean_shift(hi)
-        lo, hi = (mid, hi) if mean_shift(mid) <= 0 else (lo, mid)
-    return lo
-
-
-def saddle_point_approx(p: IntPoly, n: int, big_n: int, log: bool = False) -> float:
-    """Saddle-point approximation to [z**big_n] of p(z)**n.
-
-    Solves K'(xi) = 0 for K(z) = log p(z) - lambda log z (``_saddle_root``)
-    and evaluates p(xi)**n / (xi**(lambda n + 1) sqrt(2 pi n K''(xi))).
-    """
-    _check_local_limit_poly(p)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lam = big_n / n
-    if not 0 < lam < p.degree:
-        raise ValueError("big_n / n must lie in (0, degree)")
-    xi = _saddle_root(p, lam)
-    p_xi = p.evaluate(xi)
-    ratio1 = p.derivative().evaluate(xi) / p_xi
-    ratio2 = p.derivative().derivative().evaluate(xi) / p_xi
-    k2 = lam / xi**2 - ratio1**2 + ratio2
-    log_val = n * math.log(p_xi) - (lam * n + 1) * math.log(xi) - 0.5 * math.log(2.0 * math.pi * n * k2)
-    return log_val if log else math.exp(log_val)
-
-
 def saddle_upper_bound(k: int, n: int, w: int, xi: float | None = None, log: bool = False) -> float:
     """Rigorous bound B_k(n,w) <= (E_k(xi) / xi**(k w/n))**n for any xi > 0.
 
@@ -345,40 +280,3 @@ def extreme_region_bound(k: int, n: int, w: int) -> int:
         raise ValueError("k*w must be even")
     half = k * w // 2
     return comb(half + n - 1, n - 1) * comb(k, 2) ** half
-
-
-def extreme_exponent(k: int, n: int, w: int) -> float:
-    """Log-scale majorant of the w-th summand of S_k(n) in the extreme region."""
-    if not 0 < w < n:
-        raise ValueError("need 0 < w < n")
-    half = k * w / 2.0
-    return (
-        -(k - 1) * n * entropy(w / n)
-        + (half + n - 1) * entropy((n - 1) / (half + n - 1))
-        + half * math.log(comb(k, 2))
-    )
-
-
-def extreme_exponent_second_derivative(k: int, n: int, w: int) -> float:
-    """Closed form of the second w-derivative of extreme_exponent; positive on (0, n)."""
-    if not 0 < w < n:
-        raise ValueError("need 0 < w < n")
-    return (k * (k * n - 1) * w + n * (n - 1) * (k - 2)) / ((n - w) * w * (k * w + 2 * n - 2))
-
-
-def stirling_bounds(n: int) -> tuple[float, float]:
-    """Robbins' two-sided bounds on n!: sqrt(2 pi) n^(n+1/2) e^(-n+1/(12n+1)) and e^(-n+1/(12n))."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    base = math.sqrt(2 * math.pi) * math.exp(n * math.log(n) - n + math.log(n) / 2)
-    return base * math.exp(1 / (12 * n + 1)), base * math.exp(1 / (12 * n))
-
-
-def binomial_entropy_bound(n: int, w: int) -> float:
-    """exp(n H(w/n)) >= C(n, w) for 0 < w < n."""
-    return math.exp(n * entropy(w / n))
-
-
-def binomial_ratio_bound(k: int, n: int, w: int) -> float:
-    """sqrt(k) exp(-(k-1) n H(w/n) + 1/(6kw)) >= C(n,w)/C(kn,kw)."""
-    return math.sqrt(k) * math.exp(-(k - 1) * n * entropy(w / n) + 1 / (6 * k * w))

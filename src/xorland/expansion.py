@@ -16,7 +16,7 @@ from math import ceil, comb, floor
 from operator import or_
 from typing import Iterable
 
-from ._util import entropy, exact_fraction
+from ._util import exact_fraction
 from .gf2 import BitMatrix
 from .rng import RngSpec
 
@@ -78,11 +78,6 @@ def boundary_count(a: BitMatrix, cols: Iterable[int]) -> int:
             raise ValueError(f"column index {j} out of range")
         mask |= 1 << j
     return sum(1 for row in a.rows if (row & mask).bit_count() == 1)
-
-
-def boundary_lower_bound(rows_touched: int, total_ones: int) -> int:
-    """2C - C' rows must see exactly one 1, given C rows touched and C' total ones."""
-    return 2 * rows_touched - total_ones
 
 
 def check_boundary_expander(
@@ -219,44 +214,3 @@ def expansion_failure_bound(k: int, n: int, w: int, delta) -> Fraction:
         return Fraction(0)
     num = comb(n, w) * comb(n, fw) * comb(k * fw, k * w)
     return Fraction(num, comb(k * n, k * w))
-
-
-def expansion_failure_exponent(k: int, n: int, w: int, delta) -> float:
-    """Large-deviation majorant L_k(n,w) of log U_k(n,w).
-
-    L = n H(eta w / n) + k eta w H(1/eta) - (k-1) n H(w/n), natural-log
-    entropy; arguments of H must lie in (0, 1).
-    """
-    if not 0 < w < n:
-        raise ValueError("need 0 < w < n")
-    eta = float(k - 1 - exact_fraction(delta))
-    for arg in (eta * w / n, 1.0 / eta, w / n):
-        if not 0.0 < arg < 1.0:
-            raise ValueError(f"entropy argument {arg} outside (0, 1)")
-    return n * entropy(eta * w / n) + k * eta * w * entropy(1.0 / eta) - (k - 1) * n * entropy(w / n)
-
-
-def default_beta(k: int, delta, n: int = 100_000) -> Fraction:
-    """Largest beta (as a fraction w/n on a reference grid) with L_k decreasing.
-
-    Scans the large-deviation exponent from just past 2/delta upward and
-    stops at the first uptick, mirroring the existence argument that picks
-    beta from the sign of L'.
-    """
-    delta_f = exact_fraction(delta)
-    if delta_f <= 0:
-        raise ValueError("delta must be positive")
-    eta = k - 1 - delta_f
-    if eta <= 1:
-        raise ValueError("need eta = k - 1 - delta > 1")
-    w = floor(Fraction(2) / delta_f) + 1
-    prev = expansion_failure_exponent(k, n, w, delta_f)
-    while True:
-        w2 = w + 1
-        if Fraction(w2) * eta >= n:
-            break
-        cur = expansion_failure_exponent(k, n, w2, delta_f)
-        if cur >= prev:
-            break
-        w, prev = w2, cur
-    return Fraction(w, n)

@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._util import exact_fraction
 from .gf2 import BitVector, State, mul_vec
 from .landscape import Instance
 from .rng import RngSpec
@@ -55,16 +56,6 @@ def _select(v: int, r: int) -> int:
         r -= c
         v >>= 8
         base += 8
-
-
-def frw_step(inst: Instance, s: State, rng: RngSpec | np.random.Generator) -> State:
-    """One focused step (the step rule of :func:`frw_run`); requires a violated equation."""
-    gen = rng.generator() if isinstance(rng, RngSpec) else rng
-    v = mul_vec(inst.matrix, s).bits
-    if v == 0:
-        raise ValueError("state has energy 0: no violated equation to focus on")
-    r1, r2 = gen.integers(0, 1 << 63, size=2, dtype=np.int64).tolist()
-    return s.flip(inst.matrix.row_supports[_select(v, r1 % v.bit_count())][r2 % inst.k])
 
 
 def frw_run(
@@ -155,8 +146,6 @@ def drift_probability(inst: Instance, g: State, s: State) -> Fraction:
 
 def focused_drift_lower_bound(k: int, delta) -> Fraction:
     """(k-1)(k-2-delta)/k**2, the uniform drift bound under expansion."""
-    from ._util import exact_fraction
-
     d = exact_fraction(delta)
     return Fraction(k - 1, 1) * (k - 2 - d) / (k * k)
 
@@ -209,10 +198,12 @@ def frw_experiment(
         raise ValueError("too many trials for the stream layout")
     if len(n_list) > 1001:  # instance stream 1_000_000 + 1000 * ni must stay in its window
         raise ValueError("too many n values for the stream layout")
-    _check_start_width(max(n_list))  # these checks all run before the first instance is sampled
     # Each master stream owns a disjoint window of derived streams, so two
     # experiments with different streams (same seed) never share draws.
     base = rng.stream * 2_000_003
+    if base + 2_000_003 > 1 << 64:
+        raise ValueError("stream too large for the stream layout")
+    _check_start_width(max(n_list))  # these checks all run before the first instance is sampled
     summaries = []
     for ni, n in enumerate(n_list):
         inst = Instance.random(k, n, rng.with_stream(base + 1_000_000 + 1000 * ni), max_tries)

@@ -82,11 +82,6 @@ class BitVector:
     def support(self) -> tuple[int, ...]:
         return _set_bits(self.bits)
 
-    def flip(self, j: int) -> "BitVector":
-        if not 0 <= j < self.length:
-            raise ValueError(f"index {j} out of range")
-        return BitVector(self.length, self.bits ^ (1 << j))
-
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.length != other.length:
             raise ValueError("length mismatch")
@@ -199,9 +194,6 @@ class BitMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i] >> j & 1
-
-    def to_dense(self) -> list[list[int]]:
-        return [[self.rows[i] >> j & 1 for j in range(self.n_cols)] for i in range(self.n_rows)]
 
 
 def mul_vec(a: BitMatrix, x: BitVector) -> BitVector:

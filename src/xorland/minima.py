@@ -30,19 +30,8 @@ class FamilyConstructionError(RuntimeError):
         self.achieved = achieved
 
 
-def mark_rows(a: BitMatrix, j: int) -> frozenset[int]:
-    """Rows sharing at least one column with row j (always includes j).
-
-    For a k-regular matrix the set has at most k(k-1)+1 members: row j's
-    k columns each meet at most k-1 other rows.
-    """
-    if not 0 <= j < a.n_rows:
-        raise ValueError(f"row index {j} out of range")
-    return frozenset(BitVector(a.n_rows, _marked_mask(a, j)).support())
-
-
 def _marked_mask(a: BitMatrix, j: int) -> int:
-    """``mark_rows(a, j)`` as a bit mask over rows."""
+    """Rows sharing at least one column with row j (always including j), as a bit mask over rows."""
     return reduce(or_, (a.column_masks[c] for c in a.row_supports[j]), 0)
 
 
@@ -178,22 +167,6 @@ class BarrierCertificate:
     bound: int
     vacuous: bool
     conditional: bool
-
-
-def default_far_minima_params(k: int, corank: int, delta=Fraction(3, 10), n_ref: int = 100_000):
-    """Asymptotically safe (delta, beta, gamma) presets for the construction.
-
-    beta comes from the expansion module's exponent scan; gamma is half its
-    strict upper bound min(beta(k-2-delta)/4, 1/(2^d(k(k-1)+1))), leaving
-    slack at finite n.  Note that floor(beta*n) is tiny for desk-scale n,
-    so explicit parameters are usually preferable there.
-    """
-    from .expansion import default_beta
-
-    delta_f = exact_fraction(delta)
-    beta = default_beta(k, delta_f, n_ref)
-    gamma = min(beta * (k - 2 - delta_f) / 4, Fraction(1, 2**corank * (k * (k - 1) + 1))) / 2
-    return delta_f, beta, gamma
 
 
 def certified_barrier_bound(eta, omega, energy_u: int, conditional: bool = False) -> BarrierCertificate:

@@ -47,6 +47,14 @@ class TestGen:
         assert main(["gen", "--k", "3", "--n", "10", "--seed", "9", "--out", str(b)]) == 0
         assert a.read_text().replace("a.xnf", "") == b.read_text().replace("b.xnf", "")
 
+    @pytest.mark.parametrize("option,value", [("--seed", "-1"), ("--stream", str(1 << 64))])
+    def test_seed_or_stream_outside_64_bits_is_one(self, option, value, tmp_path, capsys):
+        out = tmp_path / "g.xnf"
+        assert main(["gen", "--k", "3", "--n", "10", option, value, "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: seed and stream must be in [0, 2**64)")
+        assert not out.exists()
+
 
 class TestKernel:
     def test_kernel_report(self, eq1_file, tmp_path):
@@ -295,7 +303,9 @@ class TestWalkAndMinima:
         (["--n-list", ""], "n_list must name at least one n"),
         (["--n-list", "12", "--cap", "0"], "cap must be >= 1"),
         (["--n-list", ",".join(["12"] * 1002)], "too many n values for the stream layout"),
-    ], ids=["empty-n-list", "cap-0", "1002-n-values"])
+        (["--n-list", "12", "--stream", str((1 << 64) // 2_000_003)],
+         "stream too large for the stream layout"),  # its window of derived streams passes 2**64
+    ], ids=["empty-n-list", "cap-0", "1002-n-values", "top-stream"])
     def test_walk_experiment_checks_before_sampling(self, extra, message, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("an instance was sampled before the arguments were checked")
@@ -312,6 +322,12 @@ class TestWalkAndMinima:
         missing = tmp_path / "missing.xnf"  # reading it would fail with another message
         assert main(["walk", "--in", str(missing), "--trials", "1", "--cap", "0"]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: --cap must be >= 1"]
+
+    def test_walk_top_stream_is_one_before_reading(self, tmp_path, capsys):
+        missing = tmp_path / "missing.xnf"  # reading it would fail with another message
+        top = str((1 << 64) - 3)  # trial 2 would draw from stream 2**64
+        assert main(["walk", "--in", str(missing), "--trials", "3", "--stream", top]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: stream too large for the stream layout"]
 
     def test_walk_oversized_n_is_one(self, tmp_path, capsys):
         infile = tmp_path / "n70.xnf"

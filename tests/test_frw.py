@@ -9,7 +9,6 @@ from xorland.frw import (
     drift_probability,
     frw_experiment,
     frw_run,
-    frw_step,
     focused_drift_lower_bound,
 )
 from xorland.gf2 import BitVector, mul_vec
@@ -18,12 +17,16 @@ from xorland.oracles import naive_frw_run
 from xorland.rng import RngSpec
 
 
+def _step(inst: Instance, s: BitVector, rng: RngSpec) -> BitVector:
+    """One focused step: the end of a walk capped at one step."""
+    return frw_run(inst, s, rng, 1).terminal
+
+
 class TestFrwStep:
     def test_single_flip_within_violated_equation(self, eq1_instance):
-        gen = RngSpec(1).generator()
         s = BitVector.from01("1110")
-        for _ in range(50):
-            t = frw_step(eq1_instance, s, gen)
+        for trial in range(50):
+            t = _step(eq1_instance, s, RngSpec(1, trial))
             flipped = (s ^ t).support()
             assert len(flipped) == 1
             # the flipped variable occurs in some violated equation of s
@@ -37,20 +40,15 @@ class TestFrwStep:
     def test_uniform_over_single_violated_equation(self, eq1_instance):
         # From 1110 only the last equation (over x1, x2, x3) is violated:
         # each of its variables flips with probability 1/3.
-        gen = RngSpec(3).generator()
         s = BitVector.from01("1110")
         freqs = Counter()
         trials = 30000
-        for _ in range(trials):
-            freqs[frw_step(eq1_instance, s, gen).to01()] += 1
+        for trial in range(trials):
+            freqs[_step(eq1_instance, s, RngSpec(3, trial)).to01()] += 1
         assert set(freqs) == {"0110", "1010", "1100"}
         se = math.sqrt((1 / 3) * (2 / 3) / trials)
         for count in freqs.values():
             assert abs(count / trials - 1 / 3) <= 3 * se
-
-    def test_zero_energy_rejected(self, eq1_instance):
-        with pytest.raises(ValueError):
-            frw_step(eq1_instance, BitVector.from01("0000"), RngSpec(1))
 
 
 class TestFrwRun:
@@ -140,15 +138,6 @@ class TestWalkOracleDifferential:
             assert got == naive_frw_run(inst, s0, rng, cap, record_every, gs), (cap, record_every)
             assert trace.steps == cap  # these walks reach the edge they test
 
-    def test_step_is_first_step_of_run(self):
-        inst = Instance.random(3, 20, RngSpec(67))
-        starts = random.Random(3)
-        for seed in range(50):
-            s = BitVector(20, starts.getrandbits(20))
-            if energy(inst, s) == 0:
-                continue
-            assert frw_step(inst, s, RngSpec(seed)) == frw_run(inst, s, RngSpec(seed), 1).terminal
-
 
 class TestDriftProbability:
     def test_worked_example_toward_ground(self, eq1_instance):
@@ -201,12 +190,11 @@ class TestDriftProbability:
         if energy(inst, s) == 0:
             pytest.skip("degenerate draw")
         p = drift_probability(inst, g, s)
-        gen = RngSpec(31).generator()
         trials = 40000
         total = 0
         d0 = (s ^ g).weight
-        for _ in range(trials):
-            t = frw_step(inst, s, gen)
+        for trial in range(trials):
+            t = _step(inst, s, RngSpec(31, trial))
             total += (t ^ g).weight - d0
         mean = total / trials
         se = 1.0 / math.sqrt(trials)  # steps are +-1
@@ -234,22 +222,13 @@ class TestStepDistribution:
                 expected[q] = mass
         trials = 60000
         freqs = Counter()
-        for _ in range(trials):
-            t = frw_step(inst, s, gen)
+        for trial in range(trials):
+            t = _step(inst, s, RngSpec(53, 1 + trial))  # stream 0 chose s
             freqs[(s ^ t).support()[0]] += 1
         assert set(freqs) <= set(expected)
         for q, p in expected.items():
             se = math.sqrt(p * (1 - p) / trials)
             assert abs(freqs[q] / trials - p) <= 4 * se + 1e-9
-
-
-class TestDefaultParams:
-    def test_preset_chain(self):
-        from xorland.minima import default_far_minima_params
-
-        delta, beta, gamma = default_far_minima_params(3, corank=0)
-        assert 0 < gamma < min(beta * (3 - 2 - delta) / 4, Fraction(1, 7))
-        assert 0 < beta < Fraction(1, 2)
 
 
 class TestExperiment:

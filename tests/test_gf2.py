@@ -318,11 +318,11 @@ class TestKernelOracle:
 
 class TestIndexLists:
     """row_supports and column_supports against the ascending positions of
-    the ones in to_dense(), read along rows and along columns."""
+    the ones in the dense 0/1 rows, read along rows and along columns."""
 
     @staticmethod
     def _agrees(a):
-        dense = a.to_dense()
+        dense = [[row >> j & 1 for j in range(a.n_cols)] for row in a.rows]
         rows = tuple(tuple(j for j, x in enumerate(row) if x) for row in dense)
         cols = tuple(tuple(i for i, row in enumerate(dense) if row[j]) for j in range(a.n_cols))
         assert a.row_supports == rows

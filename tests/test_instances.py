@@ -87,7 +87,8 @@ class TestInstanceFiles:
         assert err.value.line == 2
 
 
-    @pytest.mark.parametrize("line", ["c rng philox4x64 abc 0", "c rng mt19937 1 0"])
+    @pytest.mark.parametrize("line", ["c rng philox4x64 abc 0", "c rng mt19937 1 0",
+                                      "c rng philox4x64 -1 0", f"c rng philox4x64 0 {1 << 64}"])
     def test_bad_rng_line_names_line(self, line, tmp_path):
         path = tmp_path / "bad.xnf"
         path.write_text(f"x 3 4\n{line}\n2 3 4\n1 3 4\n1 2 4\n1 2 3\n")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from xorland.gf2 import BitMatrix, mul_vec, rank
+from xorland.gf2 import BitMatrix, BitVector, mul_vec, rank
 from xorland.landscape import (
     Instance,
     barriers_to_ground,
@@ -15,8 +15,8 @@ from xorland.minima import (
     FamilyConstructionError,
     build_family,
     certified_barrier_bound,
+    _marked_mask,
     emit_local_minimum,
-    mark_rows,
     select_far_minima,
 )
 from xorland.rng import RngSpec
@@ -26,32 +26,32 @@ def corank_le(matrix, limit):
     return matrix.n_cols - rank(matrix) <= limit
 
 
+def _marks(a: BitMatrix, j: int) -> frozenset[int]:
+    """The rows that share a column with row j."""
+    return frozenset(BitVector(a.n_rows, _marked_mask(a, j)).support())
+
+
 class TestMarkRows:
     def test_worked_example_row_zero(self, eq1_matrix):
-        assert mark_rows(eq1_matrix, 0) == frozenset({0, 1, 2, 3})
+        assert _marks(eq1_matrix, 0) == frozenset({0, 1, 2, 3})
 
     def test_self_marking(self):
         inst = Instance.random(3, 20, RngSpec(61))
         for j in range(20):
-            assert j in mark_rows(inst.matrix, j)
+            assert j in _marks(inst.matrix, j)
 
     def test_size_bound(self):
         for s in range(6):
             inst = Instance.random(3, 30, RngSpec(67).with_stream(s))
             for j in range(30):
-                assert len(mark_rows(inst.matrix, j)) <= 3 * 2 + 1
+                assert len(_marks(inst.matrix, j)) <= 3 * 2 + 1
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_against_scan_of_all_rows(self, shifted_instance, k):
         for n, seed in [(k + 2, k), (17, 2 * k), (45, 3 * k)]:
             a = shifted_instance(k, n, seed).matrix
             for j in range(n):
-                assert mark_rows(a, j) == {i for i in range(n) if a.rows[i] & a.rows[j]}
-
-    def test_row_index_checked(self, eq1_matrix):
-        for j in (-1, 4):
-            with pytest.raises(ValueError, match="out of range"):
-                mark_rows(eq1_matrix, j)
+                assert _marks(a, j) == {i for i in range(n) if a.rows[i] & a.rows[j]}
 
 
 class TestBuildFamily:
@@ -91,14 +91,14 @@ class TestBuildFamily:
         fam = build_family(ident)
         assert fam.m == 6 and fam.corank == 0
         assert all(y.bits == 1 << j for y, j in zip(fam.y_vectors, fam.selected_rows))
-        assert all(mark_rows(ident, j) == frozenset({j}) for j in range(6))
+        assert all(_marks(ident, j) == frozenset({j}) for j in range(6))
 
     def test_selected_marks_disjoint_and_z_independent(self):
         inst = Instance.random(3, 50, RngSpec(73))
         fam = build_family(inst.matrix, d_cap=4)
         seen = set()
         for j in fam.selected_rows:
-            marks = mark_rows(inst.matrix, j)
+            marks = _marks(inst.matrix, j)
             assert not (marks & seen)
             seen |= marks
         if fam.z_vectors:

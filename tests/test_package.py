@@ -1,5 +1,6 @@
-"""What the package loads at start-up, whether pyproject declares what it imports, and
-whether the benchmark's timing shims still bind."""
+"""What the package loads at start-up, whether pyproject declares what it imports,
+whether the benchmark's timing shims still bind, and whether every public function
+has a caller."""
 import ast
 import os
 import re
@@ -47,3 +48,25 @@ def test_third_party_imports_are_the_declared_dependencies():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]}
     assert third_party == declared
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_function_has_a_caller_in_src():
+    # A public function is reached from code outside its own body in a src/ module, or it
+    # is package API in xorland.__all__.  oracles.py is reference code for the tests:
+    # its functions need no caller and its calls count for none.  A name in a docstring
+    # is no reference.
+    import xorland
+
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted((ROOT / "src" / "xorland").glob("*.py")) if path.stem != "oracles"}
+    uses = [(stmt, _names(stmt)) for tree in modules.values() for stmt in tree.body]
+    uncalled = [f"{module}.{fn.name}" for module, tree in modules.items() for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                and fn.name not in xorland.__all__
+                and not any(fn.name in names for stmt, names in uses if stmt is not fn)]
+    assert not uncalled, f"public functions that nothing in src/ calls: {uncalled}"

@@ -32,3 +32,11 @@ def test_last_sub_stream_is_distinct():
 def test_jump_out_of_range_rejected(jump):
     with pytest.raises(ValueError, match="jump"):
         RngSpec(0).generator(jump)
+
+
+@pytest.mark.parametrize("field", ["seed", "stream"])
+@pytest.mark.parametrize("value", [-1, 1 << 64])
+def test_seed_and_stream_out_of_range_rejected(field, value):
+    # masked to 64 bits, -1 and 2**64 - 1 would name one generator under two specs
+    with pytest.raises(ValueError, match=r"seed and stream must be in \[0, 2\*\*64\)"):
+        RngSpec(**{"seed": 0, field: value})
