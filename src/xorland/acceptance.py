@@ -126,7 +126,7 @@ def criterion_5() -> CriterionResult:
         errs = []
         for n in (250, 500, 1000, 2000):
             big_n = round(mu * n)
-            log_approx = enumerator.local_limit_approx(poly, n, big_n, log=True)
+            log_approx = enumerator.local_limit_approx(poly, n, big_n)
             exact = enumerator.poly_power_coeff(poly, n, big_n)
             errs.append(abs(math.expm1(log_approx - math.log(exact))))
         mono = all(a > b for a, b in zip(errs, errs[1:]))
@@ -145,7 +145,7 @@ def criterion_6() -> CriterionResult:
         for w in range(1, n):
             if table[w] == 0:
                 continue
-            if math.log(table[w]) > enumerator.saddle_upper_bound(3, n, w, log=True) + 1e-9:
+            if math.log(table[w]) > enumerator.saddle_upper_bound(3, n, w) + 1e-9:
                 saddle_ok = False
     tau_ok = True
     for k in range(3, 9):

@@ -57,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minima", help="constructive local-minima families")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--d-cap", type=int, default=8)
     p.add_argument("--beta", help="far-minima distance parameter (with --gamma)")
     p.add_argument("--gamma", help="far-minima generator density (with --beta)")
     p.add_argument("--count", type=int, help="far minima to build (default 1)")
@@ -197,7 +196,7 @@ def _cmd_minima(args) -> int:
     if far and (args.beta is None or args.gamma is None):
         return _usage_error(f"{', '.join(far)} need both --beta and --gamma")
     inst = read_instance(args.infile)
-    fam = minima.build_family(inst.matrix, d_cap=args.d_cap)
+    fam = minima.build_family(inst.matrix)
     summary = {
         "corank": fam.corank,
         "group_size": fam.group_size,
@@ -337,7 +336,7 @@ def _cmd_coeffs(args) -> int:
     else:
         table = enumerator.weight_enumerator_table(k, n)
         records = [{"w": w, "log_B": math.log(table[w]),
-                    "log_saddle_bound": enumerator.saddle_upper_bound(k, n, w, log=True)}
+                    "log_saddle_bound": enumerator.saddle_upper_bound(k, n, w)}
                    for w in range(1, n) if table[w]]
         summary = {"dominated": all(r["log_B"] <= r["log_saddle_bound"] + 1e-12 for r in records)}
     report = Report("coeffs", {"k": k, "n": n, "table": args.table}, None,

@@ -4,8 +4,9 @@ The exact layer works in big integers and rationals: coefficients of large
 polynomial powers, the even-overlap enumerator B_k(n,w), and the weighted
 sum S_k(n) that bounds the expected kernel size of a random k-regular
 matrix.  The asymptotic layer (local-limit approximation, saddle-point
-upper bounds) is float/log-space and is only ever validated against the
-exact layer, never against itself.
+upper bounds) returns natural logs as floats, which stay finite where the
+values overflow, and is only ever validated against the exact layer, never
+against itself.
 """
 from __future__ import annotations
 
@@ -174,6 +175,8 @@ def kernel_bound_sum(k: int, n: int) -> KernelBoundSum:
     are stepped from w to w + 1 by their term ratios, and each region's
     terms are summed as a balanced tree.
     """
+    if k < 3:
+        raise ValueError(f"k must be >= 3, got {k}")
     if n < k:
         raise ValueError("need n >= k")
     table = weight_enumerator_table(k, n)
@@ -213,11 +216,10 @@ def poly_moments(p: IntPoly) -> tuple[Fraction, Fraction]:
     return mu, var
 
 
-def local_limit_approx(p: IntPoly, n: int, big_n: int, log: bool = False) -> float:
-    """Gaussian pointwise approximation to [z**big_n] of p(z)**n.
+def local_limit_approx(p: IntPoly, n: int, big_n: int) -> float:
+    """Natural log of the Gaussian pointwise approximation to [z**big_n] of p(z)**n.
 
-    Valid near the center big_n = mu*n (enforced within n^(3/5)).  With
-    ``log=True`` the natural log of the approximation is returned, which
+    Valid near the center big_n = mu*n (enforced within n^(3/5)).  The log
     stays finite when the coefficient itself overflows a float.
     """
     _check_local_limit_poly(p)
@@ -230,30 +232,26 @@ def local_limit_approx(p: IntPoly, n: int, big_n: int, log: bool = False) -> flo
     if abs(float(nu)) > n**0.6:
         raise ValueError("big_n lies outside the central window mu*n +- n^(3/5)")
     sigma = math.sqrt(float(var))
-    log_val = (
+    return (
         n * math.log(p.evaluate(1))
         - float(nu) ** 2 / (2.0 * float(var) * n)
         - math.log(math.sqrt(2.0 * math.pi * n) * sigma)
     )
-    return log_val if log else math.exp(log_val)
 
 
-def saddle_upper_bound(k: int, n: int, w: int, xi: float | None = None, log: bool = False) -> float:
-    """Rigorous bound B_k(n,w) <= (E_k(xi) / xi**(k w/n))**n for any xi > 0.
+def saddle_upper_bound(k: int, n: int, w: int) -> float:
+    """Natural log of the rigorous bound B_k(n,w) <= (E_k(xi) / xi**(k w/n))**n.
 
-    The default contour radius xi = (lambda/(1-lambda))**((k-1)/k)
-    approximates the saddle point; evaluation is in log space.
+    The bound holds for any xi > 0; the contour radius used,
+    xi = (lambda/(1-lambda))**((k-1)/k) with lambda = w/n, approximates
+    the saddle point.
     """
     if not 0 < w < n:
         raise ValueError("need 0 < w < n")
     lam = w / n
-    if xi is None:
-        xi = (lam / (1.0 - lam)) ** ((k - 1) / k)
-    if xi <= 0:
-        raise ValueError("xi must be positive")
+    xi = (lam / (1.0 - lam)) ** ((k - 1) / k)
     ek = even_weight_poly(k)
-    log_val = n * (math.log(float(ek.evaluate(xi))) - k * lam * math.log(xi))
-    return log_val if log else math.exp(log_val)
+    return n * (math.log(float(ek.evaluate(xi))) - k * lam * math.log(xi))
 
 
 class TauInequality(NamedTuple):

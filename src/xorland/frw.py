@@ -10,16 +10,15 @@ n / 2**63, negligible against every tolerance used in this package), the
 variable draw in numpy.  They are drawn in even chunks of 256 doubling to
 1024, the last cut to the cap: Philox fills each int64 in [0, 2**63) from
 one 64-bit output with no rejection and no carried state, so any chunking
-yields the same stream, and the same walk.  A chunk is walked in blocks (up
-to its end or the next recorded step), each one tight loop that stops early
-only at energy 0; a block's step count is read from the draws it left.
+yields the same stream, and the same walk.  A chunk is walked by one tight
+loop that stops early only at energy 0; its step count is read from the
+draws it left.
 """
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from operator import length_hint
 from typing import Sequence
 
@@ -36,8 +35,6 @@ class WalkTrace:
     steps: int
     terminal: State
     hit_ground: bool
-    energies: tuple[int, ...] | None = None
-    distances: tuple[int, ...] | None = None
 
 
 _CHUNK_MIN, _CHUNK_MAX = 256, 1024  # raw draws per refill; even, so a step never straddles two
@@ -58,24 +55,13 @@ def _select(v: int, r: int) -> int:
         base += 8
 
 
-def frw_run(
-    inst: Instance,
-    s0: State,
-    rng: RngSpec,
-    max_steps: int,
-    record_every: int | None = None,
-    grounds: Sequence[State] | None = None,
-) -> WalkTrace:
+def frw_run(inst: Instance, s0: State, rng: RngSpec, max_steps: int) -> WalkTrace:
     """Iterate focused steps until a ground state or the step cap.
 
-    Cap exhaustion is a recorded outcome, not an error.  With
-    ``record_every`` the energy (and, when ``grounds`` is supplied, the
-    distance to the nearest ground state) is logged every that many steps.
+    Cap exhaustion is a recorded outcome, not an error.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    if record_every is not None and record_every < 0:
-        raise ValueError("record_every must be >= 0")
     if s0.length != inst.n:
         raise ValueError("state length mismatch")
     n, k = inst.n, inst.k
@@ -84,45 +70,23 @@ def frw_run(
     bit = [1 << q for q in range(n)]
     v = mul_vec(inst.matrix, s0).bits
     gen = rng.generator()
-    energies: list[int] | None = [] if record_every else None
-    dists: list[int] | None = [] if (record_every and grounds is not None) else None
-
-    def record():
-        if energies is not None:
-            energies.append(v.bit_count())
-            if dists is not None:
-                dists.append(min((s ^ g.bits).bit_count() for g in grounds))
-
-    record()
     steps, chunk = 0, _CHUNK_MIN
     while v and steps < max_steps:
         raw = gen.integers(0, 1 << 63, size=min(chunk, 2 * (max_steps - steps)), dtype=np.int64)
         raw[1::2] %= k
         chunk = min(2 * chunk, _CHUNK_MAX)
-        it, first = iter(raw.tolist()), steps
-        while v and length_hint(it):
-            block = zip(it, it)
-            if record_every:
-                block = islice(block, record_every - steps % record_every)
-            for d1, j in block:
-                r = d1 % v.bit_count()
-                b = v & 255
-                c = _POP8[b]
-                q = supports[_BITS8[b][r] if r < c else _select(v >> 8, r - c) + 8][j]
-                s ^= bit[q]
-                v ^= cols[q]
-                if not v:
-                    break
-            steps = first + (len(raw) - length_hint(it)) // 2
-            if record_every and steps % record_every == 0:
-                record()
-    return WalkTrace(
-        steps=steps,
-        terminal=BitVector(n, s),
-        hit_ground=(v == 0),
-        energies=tuple(energies) if energies is not None else None,
-        distances=tuple(dists) if dists is not None else None,
-    )
+        it = iter(raw.tolist())
+        for d1, j in zip(it, it):
+            r = d1 % v.bit_count()
+            b = v & 255
+            c = _POP8[b]
+            q = supports[_BITS8[b][r] if r < c else _select(v >> 8, r - c) + 8][j]
+            s ^= bit[q]
+            v ^= cols[q]
+            if not v:
+                break
+        steps += (len(raw) - length_hint(it)) // 2
+    return WalkTrace(steps=steps, terminal=BitVector(n, s), hit_ground=(v == 0))
 
 
 def drift_probability(inst: Instance, g: State, s: State) -> Fraction:

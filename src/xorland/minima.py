@@ -160,16 +160,14 @@ class BarrierCertificate:
 
     Valid when the state's distance to every ground state exceeds
     omega/2 and the matrix is a (k, omega, eta)-boundary expander;
-    ``conditional`` marks certificates whose expansion hypothesis was
-    only sampled, ``vacuous`` marks non-positive bounds clamped to 0.
+    ``vacuous`` marks non-positive bounds clamped to 0.
     """
 
     bound: int
     vacuous: bool
-    conditional: bool
 
 
-def certified_barrier_bound(eta, omega, energy_u: int, conditional: bool = False) -> BarrierCertificate:
+def certified_barrier_bound(eta, omega, energy_u: int) -> BarrierCertificate:
     """ceil(eta * ceil(omega/2)) - E(u), clamped at zero.
 
     Any walk from the state to a ground state g crosses a perimeter state
@@ -181,8 +179,8 @@ def certified_barrier_bound(eta, omega, energy_u: int, conditional: bool = False
     half = ceil(omega_f / 2)
     raw = ceil(eta_f * half) - energy_u
     if raw <= 0:
-        return BarrierCertificate(bound=0, vacuous=True, conditional=conditional)
-    return BarrierCertificate(bound=raw, vacuous=False, conditional=conditional)
+        return BarrierCertificate(bound=0, vacuous=True)
+    return BarrierCertificate(bound=raw, vacuous=False)
 
 
 @dataclass(frozen=True)
@@ -195,10 +193,9 @@ class FarMinimum:
 
 @dataclass(frozen=True)
 class FarMinimaSelection:
-    """Far minima of ``family``; ``independent_set`` (the correction vectors) and
+    """Far minima of a family; ``independent_set`` (the correction vectors) and
     ``reserved_indices`` (the ``gamma_count`` generators) index its z vectors."""
 
-    family: MinimaFamily
     reserved_indices: tuple[int, ...]
     entries: tuple[FarMinimum, ...]
     independent_set: tuple[int, ...]
@@ -275,8 +272,7 @@ def select_far_minima(fam: MinimaFamily, beta, gamma, count: int) -> FarMinimaSe
         dists = tuple((u ^ g).weight for g in grounds)
         entries.append(FarMinimum(state=u, energy=mul_vec(inst.matrix, u).weight,
                                   distances_to_ground=dists, corrected=corrected))
-    return FarMinimaSelection(fam, tuple(reserved), tuple(entries), tuple(independent),
-                              gamma_count)
+    return FarMinimaSelection(tuple(reserved), tuple(entries), tuple(independent), gamma_count)
 
 
 def _far_from_all(u: BitVector, grounds, half_threshold: Fraction) -> bool:

@@ -107,30 +107,23 @@ def naive_nearest_ground(inst: Instance, s: State, energies: list[int]) -> tuple
     raise AssertionError("unreachable: hypercube connects at max energy")
 
 
-def naive_frw_run(
-    inst: Instance, s0: State, rng: RngSpec, max_steps: int, record_every=None, grounds=None
-):
+def naive_frw_run(inst: Instance, s0: State, rng: RngSpec, max_steps: int):
     """The focused walk with every violated row listed afresh per step and raw
-    draws from blocks of 16,384: (steps, terminal, hit_ground, energies,
-    distances), the fields of ``frw.frw_run``'s trace."""
+    draws from blocks of 16,384: (steps, terminal, hit_ground), the fields of
+    ``frw.frw_run``'s trace."""
     n, rows, s, gen = inst.n, inst.matrix.rows, s0.bits, rng.generator()
     blocks = (gen.integers(0, 1 << 63, size=1 << 14, dtype=np.int64) for _ in itertools.count())
     draws = (int(x) for block in blocks for x in block)
-    energies, dists, steps = [], [], 0
+    steps = 0
     while True:
         violated = [i for i in range(n) if (rows[i] & s).bit_count() % 2]
-        if record_every and steps % record_every == 0:
-            energies.append(len(violated))
-            if grounds is not None:
-                dists.append(min((s ^ g.bits).bit_count() for g in grounds))
         if not violated or steps == max_steps:
             break
         eq = violated[next(draws) % len(violated)]
         support = [j for j in range(n) if rows[eq] >> j & 1]
         s ^= 1 << support[next(draws) % len(support)]
         steps += 1
-    return (steps, BitVector(n, s), not violated, tuple(energies) if record_every else None,
-            tuple(dists) if record_every and grounds is not None else None)
+    return steps, BitVector(n, s), not violated
 
 
 def _first_independent(vectors: list[int]) -> list[int]:

@@ -203,6 +203,13 @@ class TestCoeffs:
         assert main(["coeffs", "--k", "3", "--n", "10", "--table", table, "--delta", "0.3"]) == 2
         assert capsys.readouterr().err.splitlines() == ["error: --delta applies only to --table U"]
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_s_table_k_below_three_is_one(self, k, capsys):
+        # S_k(n) has no finite limit below k = 3 (S_2 grows like sqrt(n)), so no
+        # report claims one
+        assert main(["coeffs", "--k", str(k), "--n", "50", "--table", "S"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: k must be >= 3, got {k}"]
+
     def test_u_table_default_delta(self, tmp_path):
         out = tmp_path / "u.json"
         assert main(["coeffs", "--k", "3", "--n", "10", "--table", "U", "--json", str(out)]) == 0

@@ -70,28 +70,12 @@ class TestFrwRun:
         trace = frw_run(eq1_instance, BitVector.from01("1110"), RngSpec(7), 1)
         assert trace.steps == 1 and not trace.hit_ground
 
-    def test_recording(self, eq1_instance):
-        grounds = ground_states(eq1_instance)
-        trace = frw_run(
-            eq1_instance, BitVector.from01("1110"), RngSpec(9), 500,
-            record_every=1, grounds=grounds,
-        )
-        assert trace.energies is not None and trace.distances is not None
-        assert trace.energies[0] == 1
-        assert trace.distances[0] == 3
-        if trace.hit_ground:
-            assert trace.energies[-1] == 0
-
-    def test_negative_record_every_rejected(self, eq1_instance):
-        with pytest.raises(ValueError, match="record_every must be >= 0"):
-            frw_run(eq1_instance, BitVector.from01("1110"), RngSpec(9), 10, record_every=-3)
-
     def test_each_step_flips_one_bit(self, eq1_instance):
-        # reconstruct flips from a recorded energy walk on a small instance
+        # a walk of single-bit flips ends at a state whose distance from its
+        # start has the parity of its step count
         inst = Instance.random(3, 10, RngSpec(11))
         s0 = BitVector(10, 0b1111100000)
         trace = frw_run(inst, s0, RngSpec(13), 200)
-        # terminal differs from start by steps flips at most (parity match)
         assert (s0 ^ trace.terminal).weight % 2 == trace.steps % 2
 
 
@@ -107,35 +91,28 @@ class TestWalkOracleDifferential:
             inst = shifted_instance(k, n, 100 * k + n)
         else:
             inst = Instance.random(k, n, RngSpec(61).with_stream(100 * k + n))
-        grounds = ground_states(inst)
         starts = random.Random(n)
-        for cap, record_every, gs in [(1, None, None), (300, 7, None), (12_000, 40, grounds)]:
+        for cap in (1, 300, 12_000):
             s0 = BitVector(n, starts.getrandbits(n))
             rng = RngSpec(k, stream=cap)
-            trace = frw_run(inst, s0, rng, cap, record_every=record_every, grounds=gs)
-            got = (trace.steps, trace.terminal, trace.hit_ground, trace.energies, trace.distances)
-            assert got == naive_frw_run(inst, s0, rng, cap, record_every, gs)
+            trace = frw_run(inst, s0, rng, cap)
+            assert (trace.steps, trace.terminal, trace.hit_ground) == naive_frw_run(inst, s0, rng, cap)
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
-    def test_chunk_and_record_edges(self, k, shifted_instance):
-        # chunks of 128, 256, 512, 512, ... draw pairs end at steps 128, 384, 896, 1408, ...;
-        # record_every 64 divides every chunk's pair count, 7 does not, 1000 exceeds the cap
+    def test_chunk_edges(self, k, shifted_instance):
+        # chunks of 128, 256, 512, 512, ... draw pairs end at steps 128, 384, 896, 1408, ...
         n = 40
         if k >= 5:
             inst = shifted_instance(k, n, 100 * k + n)
         else:
             inst = Instance.random(k, n, RngSpec(61).with_stream(100 * k + n))
-        grounds = ground_states(inst)
         starts = random.Random(k)
-        cases = [(edge + past, None) for edge in (128, 384, 896, 1408) for past in (0, 1)]
-        cases += [(385, 1), (897, 1000), (1409, 64), (1409, 7)]
-        for cap, record_every in cases:
+        for cap in (edge + past for edge in (128, 384, 896, 1408) for past in (0, 1)):
             s0 = BitVector(n, starts.getrandbits(n))
             rng = RngSpec(k, stream=cap)
-            gs = grounds if record_every else None
-            trace = frw_run(inst, s0, rng, cap, record_every=record_every, grounds=gs)
-            got = (trace.steps, trace.terminal, trace.hit_ground, trace.energies, trace.distances)
-            assert got == naive_frw_run(inst, s0, rng, cap, record_every, gs), (cap, record_every)
+            trace = frw_run(inst, s0, rng, cap)
+            got = (trace.steps, trace.terminal, trace.hit_ground)
+            assert got == naive_frw_run(inst, s0, rng, cap), cap
             assert trace.steps == cap  # these walks reach the edge they test
 
 

@@ -172,9 +172,6 @@ class TestCertifiedBarrierBound:
         cert = certified_barrier_bound(0.7, 10, 6)
         assert cert.bound == 0 and cert.vacuous
 
-    def test_conditional_flag(self):
-        assert certified_barrier_bound(0.7, 10, 2, conditional=True).conditional
-
     def test_barrier_margin_arithmetic(self):
         # (k-2-delta)*beta*n/2 - ceil(gamma*n) - 1 > gamma*n for the
         # default parameter chain at large n.
@@ -215,10 +212,9 @@ class TestSelectFarMinima:
         assert len({e.state.bits for e in sel.entries}) == len(sel.entries)
 
     def test_selection_keeps_its_own_fields(self):
-        # the family is returned as given; the correction vectors are pairwise
-        # farther than beta*n apart and none is reserved as a generator
+        # the correction vectors are pairwise farther than beta*n apart and
+        # none is reserved as a generator
         inst, fam, sel = self._working_selection()
-        assert sel.family is fam
         assert len(sel.independent_set) == 2 ** fam.corank + 1
         assert not set(sel.independent_set) & set(sel.reserved_indices)
         z = fam.z_vectors

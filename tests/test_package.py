@@ -1,6 +1,6 @@
 """What the package loads at start-up, whether pyproject declares what it imports,
-whether the benchmark's timing shims still bind, and whether every public function
-has a caller."""
+whether the benchmark's timing shims still bind, whether every definition is reached
+from package API, and whether every optional parameter is set."""
 import ast
 import os
 import re
@@ -55,18 +55,92 @@ def _names(node: ast.AST) -> set[str]:
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _src_modules() -> dict[str, ast.Module]:
+    # oracles.py is reference code for the tests: its functions need no caller
+    # and its calls count for none
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted((ROOT / "src" / "xorland").glob("*.py")) if path.stem != "oracles"}
+
+
+def _console_script_target() -> str:
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    (target,) = scripts.values()
+    return target.rpartition(":")[2]
+
+
 def test_every_public_function_has_a_caller_in_src():
-    # A public function is reached from code outside its own body in a src/ module, or it
-    # is package API in xorland.__all__.  oracles.py is reference code for the tests:
-    # its functions need no caller and its calls count for none.  A name in a docstring
-    # is no reference.
+    # Every function, class and method defined in a src/ module is reachable from
+    # package API: from xorland.__all__ (and the methods of its classes), the
+    # console-script target and the modules' top-level statements, following the
+    # names each reached body uses.  A name in a docstring is no use, and a pair of
+    # functions that only call each other is reached by neither.
     import xorland
 
-    modules = {path.stem: ast.parse(path.read_text())
-               for path in sorted((ROOT / "src" / "xorland").glob("*.py")) if path.stem != "oracles"}
-    uses = [(stmt, _names(stmt)) for tree in modules.values() for stmt in tree.body]
-    uncalled = [f"{module}.{fn.name}" for module, tree in modules.items() for fn in tree.body
-                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
-                and fn.name not in xorland.__all__
-                and not any(fn.name in names for stmt, names in uses if stmt is not fn)]
-    assert not uncalled, f"public functions that nothing in src/ calls: {uncalled}"
+    modules = _src_modules()
+    defs: dict[str, list[ast.AST]] = {}
+    roots = set(xorland.__all__) | {_console_script_target()}
+    for tree in modules.values():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                roots |= _names(stmt)
+                continue
+            defs.setdefault(stmt.name, []).append(stmt)
+            for member in stmt.body if isinstance(stmt, ast.ClassDef) else ():
+                if isinstance(member, ast.FunctionDef):
+                    defs.setdefault(member.name, []).append(member)
+                    if stmt.name in xorland.__all__ or member.name.startswith("__"):
+                        roots.add(member.name)  # package API, or called by the language
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in defs.get(name, ()):
+            # a reached class uses its bases, decorators and fields; its methods are
+            # reached by name like functions
+            parts = ([s for s in node.body if not isinstance(s, ast.FunctionDef)]
+                     + node.bases + node.decorator_list
+                     if isinstance(node, ast.ClassDef) else [node])
+            todo.extend(set().union(*map(_names, parts)) - reached)
+    unreached = sorted(name for name in defs if name not in reached)
+    assert not unreached, f"definitions that nothing reaches from package API: {unreached}"
+
+
+def test_every_optional_parameter_is_set_by_a_caller_in_src():
+    # Each parameter with a default of a public module-level function is set by some
+    # call elsewhere in a src/ module, by keyword or by position.  Package API in
+    # xorland.__all__ and the console-script target keep their parameters for users.
+    import xorland
+
+    modules = _src_modules()
+    exempt = set(xorland.__all__) | {_console_script_target()}
+    calls = [(stmt, node) for tree in modules.values() for stmt in tree.body
+             for node in ast.walk(stmt) if isinstance(node, ast.Call)]
+
+    def callee(call: ast.Call) -> str | None:
+        f = call.func
+        return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+    def sets(call: ast.Call, position: int | None, name: str) -> bool:
+        # position is None for a keyword-only parameter; a *args or **kwargs may set any
+        return (any(isinstance(a, ast.Starred) for a in call.args)
+                or position is not None and len(call.args) > position
+                or any(kw.arg in (name, None) for kw in call.keywords))
+
+    unset = []
+    for module, tree in modules.items():
+        for fn in tree.body:
+            if (not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_")
+                    or fn.name in exempt):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            optional = [(i, a.arg) for i, a in enumerate(positional)
+                        if i >= len(positional) - len(fn.args.defaults)]
+            optional += [(None, a.arg)
+                         for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            own_calls = [call for stmt, call in calls if stmt is not fn and callee(call) == fn.name]
+            unset += [f"{module}.{fn.name}({name})" for position, name in optional
+                      if not any(sets(call, position, name) for call in own_calls)]
+    assert not unset, f"optional parameters that no caller in src/ sets: {unset}"
