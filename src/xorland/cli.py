@@ -14,6 +14,8 @@ import functools
 import math
 import sys
 
+import numpy as np
+
 from . import enumerator, expansion, frw, gf2, landscape, minima
 from .instances import Report, export_cnf, read_instance, write_instance
 from .landscape import Instance
@@ -155,30 +157,34 @@ def _cmd_kernel(args) -> int:
     return _finish(report, args)
 
 
+def _to01s(bits: list[int], n: int) -> list[str]:
+    """``BitVector(n, b).to01()`` for each b (n <= 64), from one numpy pass."""
+    octets = np.array(bits, dtype="<u8").view(np.uint8).reshape(-1, 8)[:, : (n + 7) // 8]
+    text = (np.unpackbits(octets, axis=1, bitorder="little")[:, :n] + ord("0")).tobytes().decode()
+    return [text[i : i + n] for i in range(0, len(text), n)]
+
+
 def _cmd_landscape(args) -> int:
     inst = read_instance(args.infile)
     grounds = landscape.ground_states(inst)
     states = landscape.enumerate_local_minima(inst)
-    records = []
+    names = _to01s([s.bits for s in states], inst.n)
     if args.no_barriers:
-        for s, e in zip(states, landscape.energies(inst, states)):
-            records.append({"state": s.to01(), "energy": e})
+        records = [{"state": s, "energy": e} for s, e in zip(names, landscape.energies(inst, states))]
     else:
-        for res in landscape.barriers_to_ground(inst, states):
-            records.append({
-                "state": res.s.to01(),
-                "energy": res.height - res.barrier,
-                "height": res.height,
-                "barrier": res.barrier,
-                "ground": res.t.to01(),
-            })
+        results = landscape.barriers_to_ground(inst, states)
+        records = [
+            {"state": s, "energy": r.height - r.barrier, "height": r.height, "barrier": r.barrier,
+             "ground": t}
+            for s, r, t in zip(names, results, _to01s([r.t.bits for r in results], inst.n))
+        ]
     report = Report(
         experiment="landscape",
         parameters={"infile": args.infile, "k": inst.k, "n": inst.n},
         rng=None,
         records=records,
         summary={
-            "ground_states": [g.to01() for g in grounds],
+            "ground_states": _to01s([g.bits for g in grounds], inst.n),
             "local_minima": len(states),
             "barriers": sorted({r["barrier"] for r in records}) if records and not args.no_barriers else None,
         },

@@ -51,8 +51,11 @@ def read_instance(path: str | Path) -> Instance:
     provenance = None
     supports: list[tuple[int, ...]] = []
     k = n = 0
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        text = raw.strip()
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            text = raw.decode().strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError(str(exc), lineno) from None
         if not text:
             continue
         if header_line is None:

@@ -4,8 +4,9 @@ States are the 2**n assignments; the energy of a state is the number of
 violated parity equations.  Flipping variable q changes it by
 k - 2 |v & col_q|, v = A s the violated rows, so s is a local minimum exactly
 when v != 0 and every column meets at most (k - 1) // 2 violated rows; local
-minima are listed from those row sets, lifted through A, without a table of
-the 2**n energies.  Ground states are the kernel.
+minima are listed from those row sets, enumerated one set size at a time as
+numpy arrays and lifted through A, without a table of the 2**n energies.
+Ground states are the kernel.
 
 Barriers come from a merge tree of the energy-filtered hypercube (the
 barrier tree of Flamm et al. 2002, exact on plateaus).  The tree grows one
@@ -134,35 +135,37 @@ def energy_table(inst: Instance) -> np.ndarray:
 
 
 def enumerate_local_minima(inst: Instance) -> list[State]:
-    """All local minima, sorted by state bits: a depth-first search over the row
-    sets that load no column beyond (k - 1) // 2 (a downward-closed family),
-    each lifted to a preimage and expanded by the kernel, both from one
-    standard-basis elimination."""
-    n, rows = inst.n, inst.matrix.rows
+    """All local minima, sorted by state bits.  The row sets that load no
+    column beyond (k - 1) // 2 (a downward-closed family) are enumerated one
+    size at a time in numpy arrays; each is lifted to a preimage and the
+    preimages are expanded by the kernel, both from one standard-basis
+    elimination."""
+    n = inst.n
     _check_cap(n)
     sol = solve_standard_basis(inst.matrix)
+    rows = np.array(inst.matrix.rows, dtype=np.uint64)
     # (r_i, y_i) per row i with A y_i = e_i + r_i and r_i free of independent
     # rows: a row set is in the image iff its r_i sum to 0, its y_i to a preimage
-    lifts, limit, found = [(1 << i, 0) for i in range(n)], (inst.k - 1) // 2, []
+    lift_r, lift_y = np.uint64(1) << np.arange(n, dtype=np.uint64), np.zeros(n, np.uint64)
     for y, r, j in sol.triples:
-        lifts[j] = (r.bits, y.bits)
-
-    def extend(first: int, load: list[int], res: int, pre: int):
-        # load[j]: the columns that at least j chosen rows meet
-        for i in range(first, n):
-            r = rows[i]
-            if r & load[limit]:
-                continue
-            up = load[:1] + [load[j] | load[j - 1] & r for j in range(1, limit + 1)]
-            r_i, y_i = lifts[i]
-            if res == r_i:
-                found.append(pre ^ y_i)
-            extend(i + 1, up, res ^ r_i, pre ^ y_i)
-
-    extend(0, [(1 << n) - 1] + [0] * limit, 0, 0)
+        lift_r[j], lift_y[j] = r.bits, y.bits
+    # one entry (a column of load) per row set of the current size: the first
+    # row it may take, load[j] the columns that at least j of its rows meet,
+    # and its r and y sums
+    first, res, pre = np.zeros(1, np.intp), np.zeros(1, np.uint64), np.zeros(1, np.uint64)
+    load = np.zeros(((inst.k - 1) // 2 + 1, 1), np.uint64)
+    load[0] = (1 << n) - 1
+    found = []
+    while first.size:
+        s, i = np.nonzero((np.arange(n) >= first[:, None]) & (load[-1][:, None] & rows == 0))
+        first, res, pre, load = i + 1, res[s] ^ lift_r[i], pre[s] ^ lift_y[i], load[:, s]
+        load[1:] |= load[:-1] & rows[i]
+        found.append(pre[res == 0])
+    span = np.zeros(1, np.uint64)
     for g in sol.kernel:
-        found += [s ^ g.bits for s in found]
-    return [BitVector(n, s) for s in sorted(found)]
+        span = np.concatenate([span, span ^ np.uint64(g.bits)])
+    found = np.sort((np.concatenate(found)[:, None] ^ span).ravel())
+    return [BitVector(n, s) for s in found.tolist()]
 
 
 def _components(src: np.ndarray, dst: np.ndarray, size: int) -> np.ndarray:

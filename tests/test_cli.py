@@ -1,6 +1,8 @@
 import argparse
+import hashlib
 import inspect
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -101,6 +103,41 @@ class TestLandscape:
         assert main(["landscape", "--in", str(infile), "--no-barriers", "--json", str(out)]) == 0
         report = out.read_text().replace(json.dumps(str(infile)), '"<infile>"')
         assert report == (DATA / f"{name}.json").read_text()
+
+    @pytest.mark.parametrize("source", [
+        "x 1 3\n1\n2\n3\n",  # k <= 2: no column takes a violated row
+        "x 2 4\n1 2\n1 2\n3 4\n3 4\n",
+        ["--k", "3", "--n", "3"],  # generated: three equal rows, so no two rows may join
+        ["--k", "4", "--n", "4"],
+    ])
+    @pytest.mark.parametrize("no_barriers", [[], ["--no-barriers"]])
+    def test_no_minima_report(self, source, no_barriers, tmp_path):
+        infile, out = tmp_path / "z.xnf", tmp_path / "l.json"
+        if isinstance(source, str):
+            infile.write_text(source)
+        else:
+            assert main(["gen", *source, "--seed", "1", "--out", str(infile)]) == 0
+        assert main(["landscape", "--in", str(infile), *no_barriers, "--json", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["records"] == [] and data["summary"]["local_minima"] == 0
+
+    def test_scan_report_at_the_cap_pinned(self, tmp_path):
+        # the n = 26 benchmark instance, digest recorded from the depth-first row-set search;
+        # parameters are left out, since they hold the temporary path
+        infile, out = tmp_path / "scan.xnf", tmp_path / "l.json"
+        assert main(["gen", "--k", "3", "--n", "26", "--seed", "1000", "--out", str(infile)]) == 0
+        assert main(["landscape", "--in", str(infile), "--no-barriers", "--json", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["summary"]["local_minima"] == 8416
+        digest = hashlib.sha256(json.dumps([data["records"], data["summary"]]).encode()).hexdigest()
+        assert digest == "9fd1f75fe0610858eea1ef1d6eee006be0e7262e8e59758c1231607dfa0ef4e6"
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 26, 63, 64])
+    def test_strings_match_to01(self, n):
+        rng = random.Random(n)
+        bits = [0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(50))]
+        assert cli._to01s(bits, n) == [gf2.BitVector(n, b).to01() for b in bits]
+        assert cli._to01s([], n) == []
 
     def test_above_exhaustive_cap_is_one(self, shifted_instance, tmp_path, capsys):
         infile = tmp_path / "n27.xnf"
@@ -413,6 +450,13 @@ class TestExitCodes:
         assert main([a.format(infile=eq1_file) for a in argv]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line == "error: '1/0' has a zero denominator"
+
+    def test_undecodable_file_names_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.xnf"
+        bad.write_bytes(b"x 3 4\n2 3 4\n1 3 4\n\xff1 2 4\n1 2 3\n")
+        assert main(["kernel", "--in", str(bad)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: line 4: 'utf-8' codec can't decode byte 0xff")
 
     def test_malformed_file_is_one(self, tmp_path):
         bad = tmp_path / "bad.xnf"

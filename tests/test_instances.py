@@ -86,6 +86,12 @@ class TestInstanceFiles:
             read_instance(path)
         assert err.value.line == 2
 
+    def test_undecodable_byte_names_line(self, tmp_path):
+        path = tmp_path / "bad.xnf"
+        path.write_bytes(b"x 3 4\n2 3 4\n1 3 4\n1 2 \xff4\n1 2 3\n")
+        with pytest.raises(ParseError, match="can't decode byte 0xff") as err:
+            read_instance(path)
+        assert err.value.line == 4
 
     @pytest.mark.parametrize("line", ["c rng philox4x64 abc 0", "c rng mt19937 1 0",
                                       "c rng philox4x64 -1 0", f"c rng philox4x64 0 {1 << 64}"])

@@ -177,11 +177,21 @@ class TestLocalMinimaEngine:
             assert fast and {v.bits ^ ones for v in fast} == {v.bits for v in fast}
 
     @pytest.mark.parametrize("k,n,seed", [(3, 18, 0), (4, 18, 1), (3, 20, 2), (4, 20, 3),
-                                          (3, 22, 4), (5, 18, 5)])
+                                          (3, 22, 4), (5, 18, 5), (5, 22, 6), (6, 20, 7)])
     def test_against_table_oracle(self, k, n, seed):
         inst = Instance.random(k, n, RngSpec(97).with_stream(seed))
         fast = [v.bits for v in enumerate_local_minima(inst)]
         assert fast == table_local_minima(energy_table(inst), n)
+
+    @pytest.mark.parametrize("k,supports", [
+        (1, [[0], [1], [2]]),  # limit 0: no row set can grow past the empty one
+        (2, [[0, 1], [0, 1], [2, 3], [2, 3]]),
+        (3, [[0, 1, 2]] * 3),  # limit 1, but every row pair shares a column
+        (4, [[0, 1, 2, 3]] * 4),
+    ])
+    def test_no_minima(self, k, supports):
+        inst = Instance(matrix=BitMatrix.from_row_supports(len(supports), supports, k_regular=k), k=k)
+        assert enumerate_local_minima(inst) == naive_local_minima(inst) == []
 
     def test_builds_no_energy_table(self, monkeypatch):
         inst = Instance.random(4, 12, RngSpec(101))
