@@ -125,8 +125,8 @@ def _finish(report: Report, args) -> int:
 def _cmd_gen(args) -> int:
     spec = RngSpec(seed=args.seed, stream=args.stream)
     if args.k >= 7:
-        expected = math.exp((args.k - 1) ** 2 / 2)
-        print(f"warning: rejection sampling at k={args.k} needs ~{expected:.2e} tries per instance",
+        digits = (args.k - 1) ** 2 / 2 / math.log(10)  # log10 exp((k-1)^2/2); exp overflows at k >= 39
+        print(f"warning: rejection sampling at k={args.k} needs ~10^{digits:.1f} tries per instance",
               file=sys.stderr)
     inst = Instance.random(args.k, args.n, spec, args.max_tries)
     write_instance(inst, args.out)

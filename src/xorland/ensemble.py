@@ -97,7 +97,11 @@ def _simple_rows(perms: np.ndarray, k: int, n: int) -> np.ndarray:
 
 
 def default_max_tries(k: int) -> int:
-    return 1000 * math.ceil(math.exp((k - 1) ** 2 / 2))
+    try:
+        return 1000 * math.ceil(math.exp((k - 1) ** 2 / 2))
+    except OverflowError:  # k >= 39
+        raise ValueError(f"k={k}: the default try budget 1000 exp((k-1)^2/2) overflows a float; "
+                         "give max_tries (--max-tries)") from None
 
 
 class SampleResult(NamedTuple):

@@ -8,14 +8,13 @@ minima are listed from those row sets, enumerated one set size at a time as
 numpy arrays and lifted through A, without a table of the 2**n energies.
 Ground states are the kernel.
 
-Barriers come from a merge tree of the energy-filtered hypercube (the
-barrier tree of Flamm et al. 2002, exact on plateaus).  The tree grows one
-energy level h at a time: a vectorised connected-components pass labels
-the graph of the states with E = h and the roots of the components below
-h, and each component starts a leaf, extends one root, or merges several
-roots under a node at height h.  The height of two states is the larger of
-their energies and the height of their lowest common ancestor.  Growth
-stops once every query is resolved.
+Barriers come from flooding the sublevel sets {E <= h} of the hypercube
+outward from the targets, one energy level h at a time (as Flamm et al.'s
+``barriers`` program, 2002, floods the low-lying states; exact on
+plateaus).  One int32 label per state names the target whose flood reached
+it.  A state's height is the first level at which a flood reaches it, and
+its target the least one whose flood has met its own by then.  Flooding
+stops once every query is reached.
 """
 from __future__ import annotations
 
@@ -30,11 +29,10 @@ from .rng import RngSpec
 
 EXHAUSTIVE_CAP = 26
 KERNEL_CAP = 1 << 16
-# Bytes per state a barrier sweep holds: the uint8 table, the int32 node map
+# Bytes per state a barrier sweep holds: the uint8 table, the int32 label map
 # and the uint8 witness marks (building the table holds a uint32 temporary
 # and the table, 5).  Per-level index arrays come on top.
 _SWEEP_BYTES_PER_STATE = 6
-_NO_MARK = np.iinfo(np.int64).max
 _UNSEEN = 255
 
 
@@ -168,112 +166,63 @@ def enumerate_local_minima(inst: Instance) -> list[State]:
     return [BitVector(n, s) for s in found.tolist()]
 
 
-def _components(src: np.ndarray, dst: np.ndarray, size: int) -> np.ndarray:
-    """Least vertex of the component of each of ``size`` vertices under the
-    edges src[i]-dst[i].  Each round hooks every root under the least root
-    it shares an edge with, then flattens the trees by pointer jumping; the
-    level graphs of a landscape need few rounds (at most 5 at n = 24).
-    """
-    label = np.arange(size, dtype=np.int32)
-    while True:
-        a, b = label[src], label[dst]
-        cross = a != b
-        if not cross.any():
-            return label
-        np.minimum.at(label, np.maximum(a, b)[cross], np.minimum(a, b)[cross])
-        up = label[label]
-        while not np.array_equal(up, label):
-            label, up = up, up[up]
-
-
-class _MergeTree:
-    """Merge tree of the sublevel sets {E <= h}.  node_of maps each admitted
-    state to its component's root at admission, root each node to its current
-    root, and mark[v] is the lowest-bits target state beneath node v.  Node
-    ids increase with height, so a parent's id exceeds its children's.
-    """
-
-    def __init__(self, energies: np.ndarray, n: int, sources: list[int], target: int | None):
-        """Admit energy levels in ascending order until every source's
-        component holds a target: the state ``target``, or with None any
-        ground state (the level-0 states)."""
-        self.energies, self.n, self.target = energies, n, target
-        self.target_level = 0 if target is None else int(energies[target])
-        self.node_of = np.full(1 << n, -1, dtype=np.int32)
-        self.parent, self.height, self.root = (np.empty(0, dtype=np.int32) for _ in range(3))
-        self.mark = np.empty(0, dtype=np.int64)
-        sources = np.array(sources, dtype=np.int64)
-        h, top = -1, int(energies.max())
-        while not self._reached(sources):
-            if h == top:
-                raise AssertionError("hypercube failed to connect below max energy")
-            h += 1
-            self._admit(h)
-
-    def _reached(self, sources: np.ndarray) -> bool:
-        nodes = self.node_of[sources]
-        return np.all(nodes >= 0) and np.all(self.mark[self.root[nodes]] != _NO_MARK)
-
-    def _admit(self, h: int):
-        level = np.flatnonzero(self.energies == h).astype(np.int32)  # n <= 26 fits
-        if not level.size:
-            return
-        size, nodes, node_of = level.size, self.root.size, self.node_of
-        # Contracted graph: vertex p < size is level[p], vertex size + r is root
-        # r.  A level state links its first vertex, then only other vertices
-        # above its own position, so few edges repeat.
-        node_of[level] = -2 - np.arange(size, dtype=np.int32)
-        first = np.full(size, -1, dtype=np.int32)
-        src, dst = [], []
-        for q in range(self.n):
-            nb = node_of[level ^ np.intp(1 << q)]  # an intp index gathers without a cast
-            hit = np.flatnonzero(nb != -1).astype(np.int32)
-            nb = nb[hit]
-            lower = nb >= 0
-            nb[lower] = size + self.root[nb[lower]]
-            nb[~lower] = -2 - nb[~lower]
-            new = first[hit] == -1
-            first[hit[new]] = nb[new]
-            keep = ~new & (nb != first[hit]) & (nb > hit)
-            src.append(hit[keep])
-            dst.append(nb[keep])
-        src.append(np.flatnonzero(first >= 0).astype(np.int32))
-        dst.append(first[src[-1]])
-        src, dst = np.concatenate(src), np.concatenate(dst)
-        count = size + nodes
-        label = _components(src, dst, count)
-        reached = np.zeros(nodes, dtype=bool)
-        reached[dst[dst >= size] - size] = True
-        touched = size + np.flatnonzero(reached)
-        roots_in = np.bincount(label[touched], minlength=count)
-        has_level = np.zeros(count, dtype=bool)
-        has_level[label[:size]] = True
-        fresh = np.flatnonzero(has_level & (roots_in != 1))  # births (no root) and merges (several)
-        node_at = np.empty(count, dtype=np.int32)
-        node_at[label[touched]] = touched - size  # an extension keeps its root
-        node_at[fresh] = nodes + np.arange(fresh.size, dtype=np.int32)
-        node_of[level] = node_at[label[:size]]
-
-        into = node_at[label[touched]]
-        merged = into >= nodes
-        joined, into = touched[merged] - size, into[merged]
-        self.parent = np.concatenate([self.parent, np.full(fresh.size, -1, dtype=np.int32)])
-        self.parent[joined] = into
-        self.height = np.concatenate([self.height, np.full(fresh.size, h, dtype=np.int32)])
-        self.mark = np.concatenate([self.mark, np.full(fresh.size, _NO_MARK)])
-        if h == self.target_level:
-            marked = level if self.target is None else np.array([self.target])
-            np.minimum.at(self.mark, node_of[marked], marked)
-        np.minimum.at(self.mark, into, self.mark[joined])
-        remap = np.arange(nodes + fresh.size, dtype=np.int32)
-        remap[joined] = into
-        self.root = np.concatenate([remap[self.root], remap[nodes:]])
-
-    def marked(self, a: int) -> int:
-        """The first ancestor of node a (a itself included) holding a target."""
-        while self.mark[a] == _NO_MARK:
-            a = int(self.parent[a])
-        return a
+def _flood(energies: np.ndarray, n: int, sources: np.ndarray, target: int | None):
+    """Flood the sublevel sets {E <= h} from the targets (the state ``target``,
+    or with None every ground state), one level h at a time, until every
+    source is reached.  Returns each source's height, the level at which a
+    flood reaches it, and the least target whose flood has joined it by then."""
+    seeds = np.flatnonzero(energies == 0) if target is None else np.array([target])
+    # label[x]: the index in seeds of the flood that reached x, or E(x) - 256
+    # while none has, so label[x] <= h - 256 picks the unreached states of
+    # E <= h, which a scan takes at once, per flip (so no state enters a
+    # frontier twice); least[i]: the least seed index that flood i has joined
+    label = np.subtract(energies, 256, dtype=np.int32)
+    label[seeds] = np.arange(seeds.size, dtype=np.int32)
+    least = np.arange(seeds.size, dtype=np.int32)
+    height, found = np.full(sources.size, -1), np.zeros(sources.size, dtype=np.intp)
+    frontier = seeds
+    for h in range(int(energies[seeds[0]]), int(energies.max()) + 1):
+        # each level state reads its neighbours' labels: the largest is a
+        # reached one if any, which seeds it (no target neighbours another),
+        # and the smallest is at most h - 256 if an unreached neighbour waits
+        # to be taken.  A seeded state scans its neighbours again only for
+        # that, or to find meetings while some floods have not joined.
+        level = np.flatnonzero(energies == h)
+        high, low = np.full(level.size, -1, dtype=np.int32), np.zeros(level.size, dtype=np.int32)
+        for q in range(n):
+            got = label[level ^ (1 << q)]
+            np.maximum(high, got, out=high)
+            np.minimum(low, got, out=low)
+        seeded = high >= 0
+        label[level[seeded]] = high[seeded]
+        if not least.any():
+            seeded &= low <= h - 256
+        frontier = np.concatenate([frontier, level[seeded]])
+        while frontier.size:
+            own, grown, met_a, met_b = label[frontier], [], [], []
+            for q in range(n):
+                nb = frontier ^ (1 << q)
+                other = label[nb]
+                take = other <= h - 256
+                nb = nb[take]
+                label[nb] = own[take]
+                grown.append(nb)
+                meet = (other ^ own) > 0  # other is reached (sign bit clear) and not own
+                met_a.append(own[meet])
+                met_b.append(other[meet])
+            a, b = least[np.concatenate(met_a)], least[np.concatenate(met_b)]
+            while (cross := a != b).any():  # hook the larger root under the smaller
+                np.minimum.at(least, np.maximum(a, b)[cross], np.minimum(a, b)[cross])
+                while not np.array_equal(up := least[least], least):
+                    least[:] = up
+                a, b = least[a], least[b]
+            frontier = np.concatenate(grown)
+        reached = (height < 0) & (label[sources] >= 0)
+        height[reached] = h
+        found[reached] = seeds[least[label[sources[reached]]]]
+        if (height >= 0).all():
+            return height, found
+    raise AssertionError("hypercube failed to connect below max energy")
 
 
 def _witness_path(energies: np.ndarray, n: int, s: int, t: int, height: int) -> tuple[State, ...]:
@@ -309,10 +258,10 @@ def barriers_to_ground(
 ) -> list[BarrierResult]:
     """Barriers from each state to its nearest-in-height ground state.
 
-    All states share one merge tree, grown until each state's component
-    holds a ground state.  The reported t is the lowest-bits ground state
-    in the first connecting component.  The ground states are the merge
-    tree's level-0 states; no kernel is enumerated.
+    All states share one flood from every ground state, grown until it
+    reaches each of them.  The reported t is the lowest-bits ground state
+    in the first connecting component.  The ground states are the table's
+    level-0 states; no kernel is enumerated.
     """
     return _barriers(inst, states, None, witness)
 
@@ -321,19 +270,16 @@ def _barriers(
     inst: Instance, states: list[State], target: State | None, witness: bool
 ) -> list[BarrierResult]:
     """Barriers from each state to ``target``, or with None to the ground
-    states, from one merge tree.  The first ancestor of a state's node that
-    holds a target is where the state first joins one."""
+    states, from one flood of the sublevel sets."""
     n = inst.n
     if any(x.length != n for x in states) or target is not None and target.length != n:
         raise ValueError("state length mismatch")
     energies = energy_table(inst)
-    tree = _MergeTree(energies, n, [s.bits for s in states], None if target is None else target.bits)
+    sources = np.array([s.bits for s in states], dtype=np.intp)
+    heights, found = _flood(energies, n, sources, None if target is None else target.bits)
     results = []
-    for s in states:
-        top = tree.marked(int(tree.node_of[s.bits]))
-        t, e_s = int(tree.mark[top]), int(energies[s.bits])
-        h = max(e_s, int(energies[t]), int(tree.height[top]))
+    for s, h, t in zip(states, heights.tolist(), found.tolist()):
         path = _witness_path(energies, n, s.bits, t, h) if witness else None
-        results.append(BarrierResult(s=s, t=BitVector(n, t), height=h, barrier=h - e_s,
-                                     witness_path=path))
+        results.append(BarrierResult(s=s, t=BitVector(n, t), height=h,
+                                     barrier=h - int(energies[s.bits]), witness_path=path))
     return results

@@ -57,6 +57,15 @@ class TestGen:
         assert line.startswith("error: seed and stream must be in [0, 2**64)")
         assert not out.exists()
 
+    def test_huge_k_tries_its_budget_and_is_one(self, tmp_path, capsys):
+        # exp((k-1)^2/2) overflows a float from k = 39; the warning must not
+        out = tmp_path / "g.xnf"
+        assert main(["gen", "--k", "40", "--n", "50", "--max-tries", "5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: rejection sampling at k=40 needs ~10^330.3 tries per instance",
+            "error: no simple configuration after 5 attempts"]
+        assert not out.exists()
+
 
 class TestKernel:
     def test_kernel_report(self, eq1_file, tmp_path):
@@ -357,6 +366,11 @@ class TestWalkAndMinima:
         monkeypatch.setattr(Instance, "random", refuse)
         assert main(["walk", "--experiment", "--k", "6", "--trials", "1", *extra]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_walk_experiment_huge_k_needs_max_tries(self, capsys):
+        assert main(["walk", "--experiment", "--k", "40", "--n-list", "50"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: k=40:") and "--max-tries" in line
 
     def test_walk_zero_trials_is_one(self, eq1_file, capsys):
         assert main(["walk", "--in", str(eq1_file), "--trials", "0"]) == 1

@@ -96,6 +96,14 @@ class TestSampleKRegular:
     def test_default_max_tries_scale(self):
         assert default_max_tries(3) == 1000 * math.ceil(math.exp(2))
 
+    def test_default_max_tries_refuses_an_overflowing_budget(self):
+        assert default_max_tries(38) == 1000 * math.ceil(math.exp(37**2 / 2))
+        for k in (39, 40, 100):
+            with pytest.raises(ValueError, match=f"k={k}:.*max_tries"):
+                default_max_tries(k)
+        with pytest.raises(ValueError, match="k=39:"):
+            sample_k_regular(39, 40, RngSpec(1))
+
     def test_expected_tries_within_three_se(self):
         # Mean rejection count ~ exp((k-1)^2/2) - 1 at k=3 for large n.
         samples = 800

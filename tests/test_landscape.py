@@ -274,9 +274,10 @@ class TestBarriers:
 
 
 class TestBarrierOracleDifferential:
-    """The merge-tree barriers against the brute-force BFS oracles, deep queries included."""
+    """The flooded barriers against the brute-force BFS oracles, deep queries included."""
 
-    @pytest.mark.parametrize("k,n,seed", [(3, 10, 0), (4, 10, 1), (3, 12, 2), (4, 12, 3), (3, 14, 4)])
+    @pytest.mark.parametrize("k,n,seed", [(3, 10, 0), (4, 10, 1), (3, 12, 2), (4, 12, 3), (3, 14, 4),
+                                          (5, 10, 9), (5, 12, 10)])
     def test_bottleneck_pairs(self, k, n, seed):
         inst = Instance.random(k, n, RngSpec(61).with_stream(seed))
         energies = naive_energies(inst)
@@ -296,7 +297,8 @@ class TestBarrierOracleDifferential:
             # odd k: the all-ones state violates every equation, so a query to it peaks at n
             assert energies[top] == n and max(heights) == n
 
-    @pytest.mark.parametrize("k,n,seed", [(3, 10, 5), (4, 10, 6), (3, 12, 7), (4, 12, 8)])
+    @pytest.mark.parametrize("k,n,seed", [(3, 10, 5), (4, 10, 6), (3, 12, 7), (4, 12, 8),
+                                          (5, 10, 10), (5, 12, 9)])  # 4 ground states each
     def test_ground_tie_break(self, k, n, seed):
         inst = Instance.random(k, n, RngSpec(71).with_stream(seed))
         energies = naive_energies(inst)

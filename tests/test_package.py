@@ -50,9 +50,20 @@ def test_third_party_imports_are_the_declared_dependencies():
     assert third_party == declared
 
 
-def _names(node: ast.AST) -> set[str]:
+def _names(node: ast.AST, imported: frozenset[str]) -> set[str]:
+    # an attribute read off a name bound by a plain import (np.flatnonzero,
+    # math.exp) is the library's, not a use of a src/ definition of that name
     return {n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+            for n in ast.walk(node) if isinstance(n, ast.Name)
+            or isinstance(n, ast.Attribute)
+            and not (isinstance(n.value, ast.Name) and n.value.id in imported)}
+
+
+def _plain_imports(tree: ast.Module) -> frozenset[str]:
+    """The names a module binds by ``import x`` or ``import x as y``."""
+    return frozenset(alias.asname or alias.name.partition(".")[0]
+                     for node in ast.walk(tree) if isinstance(node, ast.Import)
+                     for alias in node.names)
 
 
 def _src_modules() -> dict[str, ast.Module]:
@@ -78,17 +89,18 @@ def test_every_public_function_has_a_caller_in_src():
     import xorland
 
     modules = _src_modules()
-    defs: dict[str, list[ast.AST]] = {}
+    defs: dict[str, list[tuple[ast.AST, frozenset[str]]]] = {}
     roots = set(xorland.__all__) | {_console_script_target()}
     for tree in modules.values():
+        imported = _plain_imports(tree)
         for stmt in tree.body:
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                roots |= _names(stmt)
+                roots |= _names(stmt, imported)
                 continue
-            defs.setdefault(stmt.name, []).append(stmt)
+            defs.setdefault(stmt.name, []).append((stmt, imported))
             for member in stmt.body if isinstance(stmt, ast.ClassDef) else ():
                 if isinstance(member, ast.FunctionDef):
-                    defs.setdefault(member.name, []).append(member)
+                    defs.setdefault(member.name, []).append((member, imported))
                     if stmt.name in xorland.__all__ or member.name.startswith("__"):
                         roots.add(member.name)  # package API, or called by the language
     reached, todo = set(), list(roots)
@@ -97,13 +109,13 @@ def test_every_public_function_has_a_caller_in_src():
         if name in reached:
             continue
         reached.add(name)
-        for node in defs.get(name, ()):
+        for node, imported in defs.get(name, ()):
             # a reached class uses its bases, decorators and fields; its methods are
             # reached by name like functions
             parts = ([s for s in node.body if not isinstance(s, ast.FunctionDef)]
                      + node.bases + node.decorator_list
                      if isinstance(node, ast.ClassDef) else [node])
-            todo.extend(set().union(*map(_names, parts)) - reached)
+            todo.extend(set().union(*(_names(part, imported) for part in parts)) - reached)
     unreached = sorted(name for name in defs if name not in reached)
     assert not unreached, f"definitions that nothing reaches from package API: {unreached}"
 
