@@ -278,7 +278,7 @@ def _cmd_walk(args) -> int:
 
 def _cmd_expand(args) -> int:
     inst = read_instance(args.infile)
-    params = expansion.ExpansionParams(inst.k, args.omega, args.eta)
+    params = expansion.ExpansionParams(args.omega, args.eta)
     spec = RngSpec(seed=args.seed, stream=args.stream)
     verdict = expansion.check_boundary_expander(inst.matrix, params, mode=args.mode,
                                                 budget=args.budget, rng=spec)

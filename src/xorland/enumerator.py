@@ -67,19 +67,6 @@ class IntPoly:
         return IntPoly.from_coeffs(self.coeffs[::2])
 
 
-def poly_power_coeff(p: IntPoly, n: int, big_n: int) -> int:
-    """Exact coefficient of z**big_n in p(z)**n, by Miller's recurrence."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if big_n < 0:
-        raise ValueError("target degree must be >= 0")
-    if p.degree < 0:
-        raise ValueError("zero polynomial")
-    if big_n > n * p.degree:
-        return 0
-    return poly_power_coeffs(p, n, big_n)[big_n]
-
-
 def poly_power_coeffs(p: IntPoly, n: int, max_deg: int) -> list[int]:
     """Coefficients 0..max_deg of p(z)**n, by J.C.P. Miller's recurrence.
 

@@ -24,28 +24,24 @@ from .rng import RngSpec
 class SubsetBudgetError(RuntimeError):
     """Exact mode visited its budget of column sets without a verdict."""
 
-    def __init__(self, budget: int, task: str):
-        super().__init__(f"exact mode visited {budget} column sets, its budget, while {task}; "
-                         "rerun with a larger --budget or with --mode sampled")
+    def __init__(self, budget: int):
+        super().__init__(f"exact mode visited {budget} column sets, its budget, while looking for "
+                         "a violation; rerun with a larger --budget or with --mode sampled")
         self.budget = budget
 
 
 @dataclass(frozen=True)
 class ExpansionParams:
-    k: int
+    """omega and eta of a (k, omega, eta)-boundary expander; k is the matrix's own."""
+
     omega: Fraction
     eta: Fraction
 
-    def __init__(self, k: int, omega, eta):
-        object.__setattr__(self, "k", k)
+    def __init__(self, omega, eta):
         object.__setattr__(self, "omega", exact_fraction(omega))
         object.__setattr__(self, "eta", exact_fraction(eta))
         if self.omega < 0:
             raise ValueError("omega must be >= 0")
-
-    @property
-    def max_subset(self) -> int:
-        return floor(self.omega)
 
     def required_boundary(self, w: int) -> int:
         return ceil(self.eta * w)
@@ -97,10 +93,7 @@ def check_boundary_expander(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    max_col_weight = max(c.bit_count() for c in a.column_masks)
-    if params.k < max_col_weight:
-        raise ValueError(f"params.k={params.k} below the max column weight {max_col_weight}")
-    max_w = min(params.max_subset, a.n_cols)
+    max_w = min(floor(params.omega), a.n_cols)
     if max_w < 1:
         return ExpansionVerdict(holds=True, mode=mode, subsets_checked=0)
     if mode == "exact":
@@ -168,7 +161,7 @@ def _first_violation(a: BitMatrix, required: list[int], max_w: int, budget: int,
             j = (ext & -ext).bit_length() - 1
             frames[-1][1] = ext = ext & ext - 1
             if visited == budget:
-                raise SubsetBudgetError(budget, "looking for a violation")
+                raise SubsetBudgetError(budget)
             visited += 1
             twice |= once & cols[j]
             once |= cols[j]

@@ -63,7 +63,10 @@ class MinimaFamily:
         return self.m >= self.m_lower_bound
 
 
-def build_family(a: BitMatrix, d_cap: int = 8) -> MinimaFamily:
+_D_CAP = 8  # the largest corank the construction takes on
+
+
+def build_family(a: BitMatrix) -> MinimaFamily:
     """Run the construction on a k-regular matrix with small corank.
 
     Groups the standard-basis solutions by residual, keeps the largest
@@ -73,8 +76,8 @@ def build_family(a: BitMatrix, d_cap: int = 8) -> MinimaFamily:
     """
     sol = solve_standard_basis(a)
     d = sol.corank
-    if d > d_cap:
-        raise FamilyConstructionError(f"corank {d} exceeds cap {d_cap}", achieved=d)
+    if d > _D_CAP:
+        raise FamilyConstructionError(f"corank {d} exceeds cap {_D_CAP}", achieved=d)
     groups: dict[int, list[tuple[BitVector, BitVector, int]]] = {}
     for y, r, j in sol.triples:
         groups.setdefault(r.bits, []).append((y, r, j))
@@ -154,33 +157,16 @@ def emit_local_minimum(fam: MinimaFamily, chi: Sequence[int]) -> State:
     return u
 
 
-@dataclass(frozen=True)
-class BarrierCertificate:
-    """Lower bound on the barrier to any ground state, under expansion.
+def certified_barrier_bound(eta, omega, energy_u: int) -> int:
+    """ceil(eta * ceil(omega/2)) - E(u), clamped at zero, where 0 certifies nothing.
 
-    Valid when the state's distance to every ground state exceeds
-    omega/2 and the matrix is a (k, omega, eta)-boundary expander;
-    ``vacuous`` marks non-positive bounds clamped to 0.
-    """
-
-    bound: int
-    vacuous: bool
-
-
-def certified_barrier_bound(eta, omega, energy_u: int) -> BarrierCertificate:
-    """ceil(eta * ceil(omega/2)) - E(u), clamped at zero.
-
-    Any walk from the state to a ground state g crosses a perimeter state
-    p at distance exactly ceil(omega/2) from g, where expansion forces
+    Valid when the state's distance to every ground state exceeds omega/2
+    and the matrix is a (k, omega, eta)-boundary expander: any walk from
+    the state to a ground state g crosses a perimeter state p at distance
+    exactly ceil(omega/2) from g, where expansion forces
     E(p) >= eta * ceil(omega/2).
     """
-    eta_f = exact_fraction(eta)
-    omega_f = exact_fraction(omega)
-    half = ceil(omega_f / 2)
-    raw = ceil(eta_f * half) - energy_u
-    if raw <= 0:
-        return BarrierCertificate(bound=0, vacuous=True)
-    return BarrierCertificate(bound=raw, vacuous=False)
+    return max(0, ceil(exact_fraction(eta) * ceil(exact_fraction(omega) / 2)) - energy_u)
 
 
 @dataclass(frozen=True)

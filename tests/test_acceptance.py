@@ -5,13 +5,10 @@ line per criterion; the same suite backs ``xorland verify``.
 """
 import pytest
 
-from xorland.acceptance import CRITERIA, run_criterion
+from xorland.acceptance import CRITERIA, run_criteria
 
 
 @pytest.mark.parametrize("number", sorted(CRITERIA))
 def test_criterion(number):
-    result = run_criterion(number)
-    status = "PASS" if result.passed else "FAIL"
-    print(f"\n[{status}] criterion {result.number}: {result.title} "
-          f"({result.elapsed:.1f}s) — {result.details}")
+    (result,) = run_criteria({number})
     assert result.passed, f"criterion {result.number} failed: {result.details}"

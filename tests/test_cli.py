@@ -358,12 +358,16 @@ class TestWalkAndMinima:
         (["--n-list", ",".join(["12"] * 1002)], "too many n values for the stream layout"),
         (["--n-list", "12", "--stream", str((1 << 64) // 2_000_003)],
          "stream too large for the stream layout"),  # its window of derived streams passes 2**64
-    ], ids=["empty-n-list", "cap-0", "1002-n-values", "top-stream"])
+        (["--n-list", "18,2", "--trials", "3"], "n must be >= k, got n=2, k=6"),
+        (["--k", "2", "--n-list", "12"], "k must be >= 3, got 2"),
+    ], ids=["empty-n-list", "cap-0", "1002-n-values", "top-stream", "second-n-below-k", "k-2"])
     def test_walk_experiment_checks_before_sampling(self, extra, message, monkeypatch, capsys):
+        from xorland import ensemble
+
         def refuse(*args, **kwargs):
             raise AssertionError("an instance was sampled before the arguments were checked")
 
-        monkeypatch.setattr(Instance, "random", refuse)
+        monkeypatch.setattr(ensemble, "sample_k_regular", refuse)
         assert main(["walk", "--experiment", "--k", "6", "--trials", "1", *extra]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
@@ -433,6 +437,17 @@ class TestWalkAndMinima:
         # one elimination of the instance (family and ground states), one of the z vectors
         assert eliminations == [200, json.loads(report)["summary"]["m"] - 1]
 
+    def test_far_minimum_by_pigeonhole_correction(self, tmp_path):
+        # the one generator lies within beta*n/2 = 12 of a ground state, so a
+        # correction vector is added, which moves the minimum out to distance 30
+        infile, out = tmp_path / "p.xnf", tmp_path / "m.json"
+        assert main(["gen", "--k", "3", "--n", "60", "--seed", "24", "--out", str(infile)]) == 0
+        assert main(["minima", "--in", str(infile), "--beta", "0.4", "--gamma", "1/60",
+                     "--count", "1", "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["records"] == [{
+            "state": "011111011011000111010110111011000101001010111011001001110010",
+            "energy": 2, "min_distance_to_ground": 30, "corrected": True}]
+
 
 class TestCnfCommand:
     def test_cnf_export(self, eq1_file, tmp_path):
@@ -471,6 +486,21 @@ class TestExitCodes:
         assert main(["kernel", "--in", str(bad)]) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: line 4: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("text,message", [
+        ("x 3 four\n", "line 1: k and n must be integers"),
+        ("x 3 2\n", "line 1: need n >= k >= 1, got k=3 n=2"),
+        ("x 3 4\n2 3 4\n1 3 5\n1 2 4\n1 2 3\n", "line 3: index out of range 1..4"),
+    ], ids=["non-integer-header", "n-below-k", "index-above-n"])
+    def test_bad_header_or_index_is_one_line(self, text, message, tmp_path, capsys):
+        bad = tmp_path / "bad.xnf"
+        bad.write_text(text)
+        assert main(["kernel", "--in", str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_negative_omega_is_one(self, eq1_file, capsys):
+        assert main(["expand", "--in", str(eq1_file), "--omega", "-1", "--eta", "1"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: omega must be >= 0"]
 
     def test_malformed_file_is_one(self, tmp_path):
         bad = tmp_path / "bad.xnf"

@@ -38,34 +38,34 @@ class TestBoundaryCount:
 
 class TestCheckBoundaryExpander:
     def test_eq1_holds(self, eq1_matrix):
-        verdict = check_boundary_expander(eq1_matrix, ExpansionParams(3, 2, 1))
+        verdict = check_boundary_expander(eq1_matrix, ExpansionParams(2, 1))
         assert verdict.holds and verdict.mode == "exact"
 
     def test_eq1_violated_with_witness(self, eq1_matrix):
-        verdict = check_boundary_expander(eq1_matrix, ExpansionParams(3, 2, 1.6))
+        verdict = check_boundary_expander(eq1_matrix, ExpansionParams(2, 1.6))
         assert not verdict.holds
         w = verdict.witness
         assert boundary_count(eq1_matrix, w.cols) == w.boundary < w.required
 
     def test_vacuous_below_one(self, eq1_matrix):
-        verdict = check_boundary_expander(eq1_matrix, ExpansionParams(3, 0.5, 9))
+        verdict = check_boundary_expander(eq1_matrix, ExpansionParams(0.5, 9))
         assert verdict.holds and verdict.subsets_checked == 0
 
     def test_budget_error_advises_sampled(self, eq1_matrix):
         inst = Instance.random(3, 100, RngSpec(1))
         with pytest.raises(SubsetBudgetError) as err:
-            check_boundary_expander(inst.matrix, ExpansionParams(3, 5, 0.25), budget=100)
+            check_boundary_expander(inst.matrix, ExpansionParams(5, 0.25), budget=100)
         assert "sampled" in str(err.value)
 
     def test_sampled_mode_not_falsified(self, eq1_matrix):
         verdict = check_boundary_expander(
-            eq1_matrix, ExpansionParams(3, 2, 1), mode="sampled", budget=30, rng=RngSpec(1)
+            eq1_matrix, ExpansionParams(2, 1), mode="sampled", budget=30, rng=RngSpec(1)
         )
         assert verdict.holds and verdict.mode == "sampled"
 
     def test_sampled_mode_finds_genuine_witness(self, eq1_matrix):
         verdict = check_boundary_expander(
-            eq1_matrix, ExpansionParams(3, 2, 1.6), mode="sampled", budget=200, rng=RngSpec(2)
+            eq1_matrix, ExpansionParams(2, 1.6), mode="sampled", budget=200, rng=RngSpec(2)
         )
         assert not verdict.holds
         w = verdict.witness
@@ -76,17 +76,13 @@ class TestCheckBoundaryExpander:
         profile = exact_expansion_profile(inst.matrix, 4)
         for w in range(1, 5):
             eta = Fraction(profile[w - 1], w)
-            good = check_boundary_expander(inst.matrix, ExpansionParams(3, w, eta))
+            good = check_boundary_expander(inst.matrix, ExpansionParams(w, eta))
             assert good.holds
             if profile[w - 1] < 3 * w:  # a stricter eta must fail
                 bad = check_boundary_expander(
-                    inst.matrix, ExpansionParams(3, w, eta + Fraction(1, w))
+                    inst.matrix, ExpansionParams(w, eta + Fraction(1, w))
                 )
                 assert not bad.holds
-
-    def test_column_weight_precondition(self, eq1_matrix):
-        with pytest.raises(ValueError):
-            check_boundary_expander(eq1_matrix, ExpansionParams(2, 2, 1))
 
 
 class TestExactModeAgainstNaiveEnumeration:
@@ -123,7 +119,7 @@ class TestExactModeAgainstNaiveEnumeration:
                 continue
             omega = int(gen.integers(1, min(5, n)))
             eta = Fraction(int(gen.integers(1, 13)), 10)
-            params = ExpansionParams(k, omega, eta)
+            params = ExpansionParams(omega, eta)
             verdict = check_boundary_expander(a, params, budget=10**6)
             self._assert_same(verdict, self._sorted_walk(a, params, omega))
             falsified += not verdict.holds
@@ -139,7 +135,7 @@ class TestExactModeAgainstNaiveEnumeration:
         a = shifted_instance(k, n, seed).matrix
         kinds = set()
         for eta in (Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(k)):
-            params = ExpansionParams(k, 4, eta)
+            params = ExpansionParams(4, eta)
             verdict = check_boundary_expander(a, params, mode="exact")
             self._assert_same(verdict, self._sorted_walk(a, params, 4))
             kinds.add(verdict.holds)
@@ -180,7 +176,7 @@ class TestConnectedSetsAgainstSortedWalk:
                 k = max(1, max(c.bit_count() for c in a.column_masks))
             for _ in range(4):
                 omega = int(gen.integers(1, min(5, a.n_cols) + 1))
-                params = ExpansionParams(k, omega, Fraction(int(gen.integers(1, 3 * k + 1)), 4))
+                params = ExpansionParams(omega, Fraction(int(gen.integers(1, 3 * k + 1)), 4))
                 verdict = check_boundary_expander(a, params)
                 self._assert_same(verdict, self._sorted_walk(a, params, omega))
                 held += verdict.holds
@@ -192,7 +188,7 @@ class TestConnectedSetsAgainstSortedWalk:
         # (0, 1, 2, 5) is the first violating subset in lexicographic order,
         # though not connected; the connected phase only proves one exists
         a = shifted_instance(3, 8, 1).matrix
-        params = ExpansionParams(3, 4, 1)
+        params = ExpansionParams(4, 1)
         verdict = check_boundary_expander(a, params)
         self._assert_same(verdict, self._sorted_walk(a, params, 4))
         assert verdict.witness.cols == (0, 1, 2, 5) and verdict.subsets_checked == 6
@@ -201,7 +197,7 @@ class TestConnectedSetsAgainstSortedWalk:
     def test_connected_sets_fit_where_all_subsets_do_not(self):
         # sum C(100, w) for w <= 5 is 79,375,495 subsets; about 42,000 are connected
         a = Instance.random(3, 100, RngSpec(1)).matrix
-        verdict = check_boundary_expander(a, ExpansionParams(3, 5, 0.25), budget=10**5)
+        verdict = check_boundary_expander(a, ExpansionParams(5, 0.25), budget=10**5)
         assert verdict.holds and verdict.subsets_checked == sum(math.comb(100, w) for w in range(1, 6))
 
     @pytest.mark.parametrize("n,seed,omega,eta,task", [
@@ -210,7 +206,7 @@ class TestConnectedSetsAgainstSortedWalk:
     def test_budget_error_names_budget_and_task(self, n, seed, omega, eta, task):
         a = Instance.random(3, n, RngSpec(seed)).matrix
         with pytest.raises(SubsetBudgetError) as err:
-            check_boundary_expander(a, ExpansionParams(3, omega, eta), budget=100)
+            check_boundary_expander(a, ExpansionParams(omega, eta), budget=100)
         assert err.value.budget == 100
         assert str(err.value) == (f"exact mode visited 100 column sets, its budget, while {task}; "
                                   "rerun with a larger --budget or with --mode sampled")
@@ -224,7 +220,7 @@ class TestConnectedSetsAgainstSortedWalk:
         # the lexicographic walk that names the first one needs more, so the
         # verdict carries the connected witness, its count and a note
         a = Instance.random(3, n, RngSpec(seed)).matrix
-        params = ExpansionParams(3, omega, eta)
+        params = ExpansionParams(omega, eta)
         verdict = check_boundary_expander(a, params, budget=100)
         w = verdict.witness
         assert not verdict.holds and verdict.subsets_checked == connected
@@ -240,7 +236,7 @@ class TestConnectedSetsAgainstSortedWalk:
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_rejected(self, eq1_matrix, mode, budget):
         with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
-            check_boundary_expander(eq1_matrix, ExpansionParams(3, 2, 1), mode=mode,
+            check_boundary_expander(eq1_matrix, ExpansionParams(2, 1), mode=mode,
                                     budget=budget, rng=RngSpec(1))
 
 
@@ -283,7 +279,7 @@ class TestSeparationInvariant:
                 continue
             omega = 4
             verdict = check_boundary_expander(
-                inst.matrix, ExpansionParams(3, omega, Fraction(1, 4)), budget=10**6
+                inst.matrix, ExpansionParams(omega, Fraction(1, 4)), budget=10**6
             )
             if not verdict.holds:
                 continue

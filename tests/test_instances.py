@@ -54,6 +54,15 @@ class TestInstanceFiles:
         assert back.matrix == inst.matrix
         assert back.provenance == RngSpec(55, stream=3)
 
+    def test_round_trip_preserves_src_provenance(self, eq1_instance, tmp_path):
+        first, second = tmp_path / "a.xnf", tmp_path / "b.xnf"
+        write_instance(Instance(eq1_instance.matrix, 3, provenance="worked example (1)"), first)
+        back = read_instance(first)
+        assert back.provenance == "worked example (1)"
+        write_instance(back, second)
+        assert second.read_text() == first.read_text()
+        assert first.read_text().splitlines()[1] == "c src worked example (1)"
+
     def test_repeated_index_names_line(self, tmp_path):
         path = tmp_path / "bad.xnf"
         path.write_text("x 3 4\n2 3 4\n1 3 3\n1 2 4\n1 2 3\n")

@@ -384,7 +384,7 @@ class TestExpansionEnergyInvariant:
         omega, eta = 3, Fraction(1, 3)
         for seed in range(12):
             inst = Instance.random(3, 12, RngSpec(53).with_stream(seed))
-            verdict = check_boundary_expander(inst.matrix, ExpansionParams(3, omega, eta))
+            verdict = check_boundary_expander(inst.matrix, ExpansionParams(omega, eta))
             if not verdict.holds:
                 continue
             found += 1

@@ -63,9 +63,9 @@ class TestBuildFamily:
         assert fam.m >= 1
 
     def test_corank_cap(self):
-        a = BitMatrix.from_rows([[1] * 8] * 8, k_regular=8)
-        with pytest.raises(FamilyConstructionError):
-            build_family(a, d_cap=2)
+        a = BitMatrix.from_rows([[1] * 10] * 10, k_regular=10)  # corank 9
+        with pytest.raises(FamilyConstructionError, match="^corank 9 exceeds cap 8$"):
+            build_family(a)
 
     def test_n60_count_bound_at_corank_two(self):
         # (n - d) / (2^d * 7) = 58/28 at k = 3, d = 2: the disjoint-marking
@@ -75,7 +75,7 @@ class TestBuildFamily:
         checked = 0
         for s in range(12):
             inst = Instance.random(3, 60, RngSpec(71).with_stream(s))
-            fam = build_family(inst.matrix, d_cap=8)
+            fam = build_family(inst.matrix)
             assert fam.m >= 1
             assert isinstance(fam.meets_m_bound, bool)
             if fam.corank == 2:
@@ -95,7 +95,7 @@ class TestBuildFamily:
 
     def test_selected_marks_disjoint_and_z_independent(self):
         inst = Instance.random(3, 50, RngSpec(73))
-        fam = build_family(inst.matrix, d_cap=4)
+        fam = build_family(inst.matrix)
         seen = set()
         for j in fam.selected_rows:
             marks = _marks(inst.matrix, j)
@@ -107,7 +107,7 @@ class TestBuildFamily:
 
     def test_z_pair_images_have_weight_two(self):
         inst = Instance.random(3, 40, RngSpec(79))
-        fam = build_family(inst.matrix, d_cap=4)
+        fam = build_family(inst.matrix)
         z = fam.z_vectors
         for i, j in itertools.combinations(range(len(z)), 2):
             assert mul_vec(inst.matrix, z[i] ^ z[j]).weight == 2
@@ -116,7 +116,7 @@ class TestBuildFamily:
 class TestEmitLocalMinimum:
     def test_pair_energy_two(self):
         inst = Instance.random(3, 40, RngSpec(83))
-        fam = build_family(inst.matrix, d_cap=4)
+        fam = build_family(inst.matrix)
         chi = [0] * fam.m
         chi[0] = chi[1] = 1
         u = emit_local_minimum(fam, chi)
@@ -125,7 +125,7 @@ class TestEmitLocalMinimum:
 
     def test_all_even_combinations_are_minima(self):
         inst = Instance.random(3, 40, RngSpec(89))
-        fam = build_family(inst.matrix, d_cap=4)
+        fam = build_family(inst.matrix)
         count = 0
         for size in range(2, fam.m + 1, 2):
             for combo in itertools.combinations(range(fam.m), size):
@@ -140,7 +140,7 @@ class TestEmitLocalMinimum:
 
     def test_odd_and_zero_rejected(self):
         inst = Instance.random(3, 40, RngSpec(97))
-        fam = build_family(inst.matrix, d_cap=4)
+        fam = build_family(inst.matrix)
         with pytest.raises(ValueError):
             emit_local_minimum(fam, [0] * fam.m)
         chi = [0] * fam.m
@@ -152,7 +152,7 @@ class TestEmitLocalMinimum:
         found = 0
         for s in range(30):
             inst = Instance.random(3, 14, RngSpec(101).with_stream(s))
-            fam = build_family(inst.matrix, d_cap=4)
+            fam = build_family(inst.matrix)
             if fam.m < 2:
                 continue
             chi = [0] * fam.m
@@ -165,12 +165,10 @@ class TestEmitLocalMinimum:
 
 class TestCertifiedBarrierBound:
     def test_formula(self):
-        cert = certified_barrier_bound(0.7, 10, 2)
-        assert cert.bound == 2 and not cert.vacuous
+        assert certified_barrier_bound(0.7, 10, 2) == 2
 
     def test_vacuous_flag(self):
-        cert = certified_barrier_bound(0.7, 10, 6)
-        assert cert.bound == 0 and cert.vacuous
+        assert certified_barrier_bound(0.7, 10, 6) == 0
 
     def test_barrier_margin_arithmetic(self):
         # (k-2-delta)*beta*n/2 - ceil(gamma*n) - 1 > gamma*n for the
@@ -190,7 +188,7 @@ class TestSelectFarMinima:
             inst = Instance.random(3, 60, RngSpec(103).with_stream(s))
             if not corank_le(inst.matrix, 2):
                 continue
-            fam = build_family(inst.matrix, d_cap=2)
+            fam = build_family(inst.matrix)
             try:
                 sel = select_far_minima(fam, Fraction(1, 10), Fraction(1, 30), count=3)
                 return inst, fam, sel
@@ -227,6 +225,16 @@ class TestSelectFarMinima:
         with pytest.raises(ValueError):
             select_far_minima(fam, Fraction(1, 10), Fraction(1, 30), count=cap + 1)
 
+    def test_pigeonhole_correction(self):
+        # the one generator lies within beta*n/2 = 12 of a ground state; adding
+        # a correction vector moves it out and keeps it a local minimum
+        inst = Instance.random(3, 60, RngSpec(24))
+        sel = select_far_minima(build_family(inst.matrix), Fraction(2, 5), Fraction(1, 60), count=1)
+        (entry,) = sel.entries
+        assert entry.corrected and entry.energy == 2
+        assert min(entry.distances_to_ground) == 30 > Fraction(2, 5) * 60 / 2
+        assert is_local_minimum(inst, entry.state)
+
     def test_insufficient_vectors_reported(self, eq1_instance):
         fam = build_family(eq1_instance.matrix)
         with pytest.raises(FamilyConstructionError) as err:
@@ -243,9 +251,9 @@ class TestSelectFarMinima:
             inst = Instance.random(3, 18, RngSpec(107).with_stream(s))
             if not corank_le(inst.matrix, 2):
                 continue
-            verdict = check_boundary_expander(inst.matrix, ExpansionParams(3, 1, 3))
+            verdict = check_boundary_expander(inst.matrix, ExpansionParams(1, 3))
             assert verdict.holds  # single columns always have boundary k
-            fam = build_family(inst.matrix, d_cap=2)
+            fam = build_family(inst.matrix)
             if fam.m < 2:
                 continue
             grounds = ground_states(inst)
@@ -255,8 +263,8 @@ class TestSelectFarMinima:
             if not all((u ^ g).weight > Fraction(1, 2) for g in grounds):
                 continue
             cert = certified_barrier_bound(3, 1, 2)
-            assert not cert.vacuous
+            assert cert == 1
             res = barriers_to_ground(inst, [u])[0]
-            assert res.barrier >= cert.bound
+            assert res.barrier >= cert
             compared += 1
         assert compared >= 3
