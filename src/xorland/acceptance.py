@@ -32,10 +32,7 @@ class CriterionResult:
 
 def worked_example() -> Instance:
     """The 4x4 complement-of-identity system used throughout as ground truth."""
-    a = BitMatrix.from_rows(
-        [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]], k_regular=3
-    )
-    return Instance(matrix=a, k=3)
+    return Instance(BitMatrix.from_rows([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]))
 
 
 def criterion_1() -> tuple[bool, str]:
@@ -169,10 +166,7 @@ def criterion_7() -> tuple[bool, str]:
         if fam.m >= 4:
             combos.append(tuple(range(4)))
         for combo in combos:
-            chi = [0] * fam.m
-            for c in combo:
-                chi[c] = 1
-            u = minima.emit_local_minimum(fam, chi)
+            u = minima.emit_local_minimum(fam, combo)
             emitted_count += 1
             if not landscape.is_local_minimum(inst, u):
                 emitted_ok = False
@@ -195,10 +189,8 @@ def criterion_7() -> tuple[bool, str]:
         fam = minima.build_family(inst.matrix)
         grounds = landscape.ground_states(inst)
         states = []
-        for i, j in itertools.combinations(range(fam.m), 2):
-            chi = [0] * fam.m
-            chi[i] = chi[j] = 1
-            u = minima.emit_local_minimum(fam, chi)
+        for pair in itertools.combinations(range(fam.m), 2):
+            u = minima.emit_local_minimum(fam, pair)
             if all((u ^ g).weight > omega / 2 for g in grounds):
                 states.append(u)
         if not states:

@@ -127,7 +127,10 @@ def sample_k_regular(k: int, n: int, rng: RngSpec, max_tries: int | None = None)
         hits = np.flatnonzero(_simple_rows(perms, k, n))
         if hits.size:
             cells = (perms[hits[0]] // k).reshape(n, k).tolist()
-            return SampleResult(BitMatrix.from_row_supports(n, cells, k), tried + int(hits[0]))
+            matrix = BitMatrix.from_row_supports(n, cells)
+            if matrix.k_regular != k:
+                raise AssertionError(f"accepted pairing gave a matrix that is not {k}-regular")
+            return SampleResult(matrix, tried + int(hits[0]))
         tried += len(perms)
     raise MaxTriesExceededError(tried)
 

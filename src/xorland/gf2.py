@@ -97,16 +97,11 @@ State = BitVector
 
 @dataclass(frozen=True)
 class BitMatrix:
-    """Dense GF(2) matrix; each row is a bit mask over column indices.
-
-    ``k_regular``, when set, asserts that every row and every column has
-    exactly that many ones (verified at construction).
-    """
+    """Dense GF(2) matrix; each row is a bit mask over column indices."""
 
     n_rows: int
     n_cols: int
     rows: tuple[int, ...]
-    k_regular: int | None = None
 
     def __post_init__(self):
         if self.n_rows <= 0 or self.n_cols <= 0:
@@ -116,29 +111,21 @@ class BitMatrix:
         for r in self.rows:
             if r < 0 or r >> self.n_cols:
                 raise ValueError("row mask outside column range")
-        if self.k_regular is not None:
-            k = self.k_regular
-            if any(r.bit_count() != k for r in self.rows):
-                raise ValueError(f"matrix is not {k}-regular: bad row weight")
-            if any(c.bit_count() != k for c in self.column_masks):
-                raise ValueError(f"matrix is not {k}-regular: bad column weight")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], k_regular: int | None = None) -> "BitMatrix":
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BitMatrix":
         n_cols = len(rows[0])
         masks = []
         for row in rows:
             if len(row) != n_cols:
                 raise ValueError("ragged rows")
             masks.append(sum((1 << j) for j, v in enumerate(row) if v % 2))
-        return cls(len(rows), n_cols, tuple(masks), k_regular)
+        return cls(len(rows), n_cols, tuple(masks))
 
     @classmethod
-    def from_row_supports(
-        cls, n_cols: int, supports: Sequence[Iterable[int]], k_regular: int | None = None
-    ) -> "BitMatrix":
+    def from_row_supports(cls, n_cols: int, supports: Sequence[Iterable[int]]) -> "BitMatrix":
         masks = tuple(BitVector.from_indices(n_cols, s).bits for s in supports)
-        return cls(len(masks), n_cols, masks, k_regular)
+        return cls(len(masks), n_cols, masks)
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -156,6 +143,12 @@ class BitMatrix:
             for j in support:
                 cols[j] |= 1 << i
         return tuple(cols)
+
+    @cached_property
+    def k_regular(self) -> int | None:
+        """k if every row and every column has exactly k ones, else None."""
+        weights = {r.bit_count() for r in self.rows} | {c.bit_count() for c in self.column_masks}
+        return weights.pop() if len(weights) == 1 else None
 
     @cached_property
     def row_supports(self) -> tuple[tuple[int, ...], ...]:

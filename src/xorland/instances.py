@@ -105,7 +105,7 @@ def read_instance(path: str | Path) -> Instance:
         if degree != k:
             raise ParseError(f"column {j + 1} appears in {degree} equations, expected {k}", header_line)
     rows = tuple(sum(1 << j for j in support) for support in supports)
-    return Instance(matrix=BitMatrix(n, n, rows, k_regular=k), k=k, provenance=provenance)
+    return Instance(BitMatrix(n, n, rows), provenance=provenance)
 
 
 def export_cnf(inst: Instance, path: str | Path):

@@ -18,7 +18,7 @@ stops once every query is reached.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections import deque
 
 import numpy as np
@@ -38,20 +38,21 @@ _UNSEEN = 255
 
 @dataclass(frozen=True)
 class Instance:
-    """A k-regular system A x = 0 over GF(2) plus its provenance."""
+    """A k-regular system A x = 0 over GF(2) plus its provenance; k is the matrix's.
+
+    k >= 1 ones in every row and every column make the matrix square.
+    """
 
     matrix: BitMatrix
-    k: int
-    provenance: object = None
+    provenance: object = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        a = self.matrix
-        if a.n_rows != a.n_cols:
-            raise ValueError("instance matrix must be square")
-        if a.k_regular is None:
-            BitMatrix(a.n_rows, a.n_cols, a.rows, self.k)  # raises unless k-regular
-        elif a.k_regular != self.k:
-            raise ValueError("k mismatch between instance and matrix flag")
+        if not self.matrix.k_regular:
+            raise ValueError("instance matrix must be k-regular with k >= 1")
+
+    @property
+    def k(self) -> int:
+        return self.matrix.k_regular
 
     @property
     def n(self) -> int:
@@ -59,8 +60,7 @@ class Instance:
 
     @classmethod
     def random(cls, k: int, n: int, rng: RngSpec, max_tries: int | None = None) -> "Instance":
-        result = ensemble.sample_k_regular(k, n, rng, max_tries)
-        return cls(matrix=result.matrix, k=k, provenance=rng)
+        return cls(ensemble.sample_k_regular(k, n, rng, max_tries).matrix, provenance=rng)
 
 
 @dataclass(frozen=True)

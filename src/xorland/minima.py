@@ -45,7 +45,6 @@ class MinimaFamily:
     """
 
     matrix: BitMatrix
-    k: int
     corank: int
     common_r: BitVector
     y_vectors: tuple[BitVector, ...]
@@ -74,6 +73,9 @@ def build_family(a: BitMatrix) -> MinimaFamily:
     ascending row order subject to disjoint marked rows.  All algebraic
     invariants are re-verified before returning.
     """
+    k = a.k_regular
+    if not k:
+        raise ValueError("build_family needs a k-regular matrix with k >= 1")
     sol = solve_standard_basis(a)
     d = sol.corank
     if d > _D_CAP:
@@ -95,7 +97,6 @@ def build_family(a: BitMatrix) -> MinimaFamily:
     selected_rows = tuple(j for _, j in selected)
     common_r = BitVector(a.n_rows, best_bits)
 
-    k = a.k_regular if a.k_regular is not None else max(r.bit_count() for r in a.rows)
     n = a.n_rows
     m_lower = (n - d) / (2**d * (k * (k - 1) + 1))
 
@@ -104,7 +105,6 @@ def build_family(a: BitMatrix) -> MinimaFamily:
     _verify_family(a, y_vectors, selected_rows, common_r, z_vectors)
     return MinimaFamily(
         matrix=a,
-        k=k,
         corank=d,
         common_r=common_r,
         y_vectors=y_vectors,
@@ -131,26 +131,21 @@ def _verify_family(a, y_vectors, selected_rows, common_r, z_vectors):
             raise AssertionError("z vectors are not linearly independent")
 
 
-def emit_local_minimum(fam: MinimaFamily, chi: Sequence[int]) -> State:
-    """XOR the selected y vectors flagged by chi; needs an even, nonzero count.
+def emit_local_minimum(fam: MinimaFamily, flagged: Sequence[int]) -> State:
+    """XOR the selected y vectors at the indices ``flagged``; needs an even, nonzero count.
 
     The result u satisfies A u = sum of the flagged e_j (the shared
     residual cancels in pairs), so its energy equals the flag count and
     every single flip raises the energy.
     """
-    if len(chi) != fam.m:
-        raise ValueError(f"chi must have length m={fam.m}")
-    if any(c not in (0, 1) for c in chi):
-        raise ValueError("chi must be 0/1")
-    total = sum(chi)
-    if total == 0 or total % 2:
-        raise ValueError(f"chi must flag an even, nonzero number of vectors (got {total})")
-    bits = 0
-    expect = 0
-    for c, y, j in zip(chi, fam.y_vectors, fam.selected_rows):
-        if c:
-            bits ^= y.bits
-            expect ^= 1 << j
+    if len(set(flagged)) != len(flagged) or any(not 0 <= i < fam.m for i in flagged):
+        raise ValueError(f"flagged must be distinct indices in [0, {fam.m})")
+    if not flagged or len(flagged) % 2:
+        raise ValueError(f"must flag an even, nonzero number of vectors (got {len(flagged)})")
+    bits = expect = 0
+    for i in flagged:
+        bits ^= fam.y_vectors[i].bits
+        expect ^= 1 << fam.selected_rows[i]
     u = BitVector(fam.matrix.n_cols, bits)
     if mul_vec(fam.matrix, u).bits != expect:
         raise AssertionError("emitted state violates A u = sum of flagged e_j")
@@ -199,7 +194,7 @@ def select_far_minima(fam: MinimaFamily, beta, gamma, count: int) -> FarMinimaSe
     its pigeonhole correction, re-verified as a local minimum with exact
     distances to all ground states.
     """
-    inst = Instance(fam.matrix, fam.k)
+    inst = Instance(fam.matrix)
     beta_f = exact_fraction(beta)
     gamma_f = exact_fraction(gamma)
     n = inst.n

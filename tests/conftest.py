@@ -9,14 +9,12 @@ from xorland.landscape import Instance
 @pytest.fixture
 def eq1_matrix() -> BitMatrix:
     """The 4x4 complement-of-identity matrix (k = 3)."""
-    return BitMatrix.from_rows(
-        [[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]], k_regular=3
-    )
+    return BitMatrix.from_rows([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
 
 
 @pytest.fixture
 def eq1_instance(eq1_matrix) -> Instance:
-    return Instance(matrix=eq1_matrix, k=3)
+    return Instance(eq1_matrix)
 
 
 @pytest.fixture
@@ -28,6 +26,6 @@ def shifted_instance():
         rng = random.Random(seed)
         offsets, perm = rng.sample(range(n), k), rng.sample(range(n), n)
         supports = [[perm[(i + d) % n] for d in offsets] for i in range(n)]
-        return Instance(matrix=BitMatrix.from_row_supports(n, supports, k_regular=k), k=k)
+        return Instance(BitMatrix.from_row_supports(n, supports))
 
     return build

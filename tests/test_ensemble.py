@@ -73,7 +73,8 @@ class TestSampleKRegular:
         res = sample_k_regular(3, 8, RngSpec(11))
         dense = _dense(res.matrix)
         assert max(max(row) for row in dense) <= 1
-        assert BitMatrix.from_rows(dense, k_regular=3) == res.matrix
+        assert BitMatrix.from_rows(dense) == res.matrix
+        assert hash(BitMatrix.from_rows(dense)) == hash(res.matrix)
 
     def test_first_pairing_is_sample_configuration(self):
         # one stream: with no rejection, the sample is the first pairing's matrix

@@ -160,7 +160,7 @@ class TestRankAndKernel:
         assert len(kernel_basis(BitMatrix.zeros(4, 4))) == 4
 
     def test_four_regular_contains_all_ones(self):
-        a = BitMatrix.from_rows([[1, 1, 1, 1]] * 4, k_regular=4)
+        a = BitMatrix.from_rows([[1, 1, 1, 1]] * 4)
         ones = BitVector(4, 0b1111)
         assert mul_vec(a, ones).bits == 0
         basis = kernel_basis(a)
@@ -342,6 +342,42 @@ class TestIndexLists:
     @settings(max_examples=100)
     def test_random_rectangular(self, a):
         self._agrees(a)
+
+
+class TestKRegular:
+    """k_regular against counting the ones of every dense row and column."""
+
+    @staticmethod
+    def _agrees(a):
+        dense = [[row >> j & 1 for j in range(a.n_cols)] for row in a.rows]
+        k = sum(dense[0])
+        regular = all(sum(row) == k for row in dense) and all(sum(col) == k for col in zip(*dense))
+        assert a.k_regular == (k if regular else None)
+        return a.k_regular
+
+    def test_seeded_random(self):
+        rng = random.Random(2024)
+        seen = set()
+        for _ in range(400):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            density = rng.choice([0.3, 0.5, 0.8])
+            dense = [[int(rng.random() < density) for _ in range(n)] for _ in range(m)]
+            seen.add(self._agrees(BitMatrix.from_rows(dense)))
+        assert {None, 0, 1, 2, 3} <= seen
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_regular_and_one_flip_irregular(self, shifted_instance, k):
+        for n, seed in [(max(k, 2), k), (k + 1, k), (13, 2 * k)]:
+            a = shifted_instance(k, n, seed).matrix
+            assert self._agrees(a) == k
+            flipped = BitMatrix(n, n, (a.rows[0] ^ 1 << seed % n,) + a.rows[1:])
+            assert self._agrees(flipped) is None
+
+    def test_identity_and_zeros(self):
+        for n in (1, 9):
+            assert self._agrees(BitMatrix.identity(n)) == 1
+        for m, n in ((1, 1), (3, 5), (5, 3)):
+            assert self._agrees(BitMatrix.zeros(m, n)) == 0
 
 
 class TestReducedEchelonOracle:

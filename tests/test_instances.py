@@ -56,7 +56,7 @@ class TestInstanceFiles:
 
     def test_round_trip_preserves_src_provenance(self, eq1_instance, tmp_path):
         first, second = tmp_path / "a.xnf", tmp_path / "b.xnf"
-        write_instance(Instance(eq1_instance.matrix, 3, provenance="worked example (1)"), first)
+        write_instance(Instance(eq1_instance.matrix, provenance="worked example (1)"), first)
         back = read_instance(first)
         assert back.provenance == "worked example (1)"
         write_instance(back, second)

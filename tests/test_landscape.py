@@ -29,13 +29,14 @@ from xorland.rng import RngSpec
 
 class TestInstance:
     def test_regularity_enforced(self, eq1_matrix):
-        Instance(matrix=eq1_matrix, k=3)
-        with pytest.raises(ValueError, match="k mismatch"):
-            Instance(matrix=eq1_matrix, k=4)
-        unflagged = BitMatrix(4, 4, eq1_matrix.rows)
-        Instance(matrix=unflagged, k=3)
-        with pytest.raises(ValueError, match="not 4-regular: bad row weight"):
-            Instance(matrix=unflagged, k=4)
+        assert Instance(eq1_matrix).k == 3
+        with pytest.raises(TypeError):
+            Instance(eq1_matrix, 3)  # provenance is keyword-only
+        refused = [BitMatrix.zeros(4, 4), BitMatrix.from_rows([[1, 1, 1]] * 2),
+                   BitMatrix(4, 4, (7, 11, 13, 15))]
+        for matrix in refused:
+            with pytest.raises(ValueError, match="^instance matrix must be k-regular with k >= 1$"):
+                Instance(matrix)
 
     def test_random_has_provenance(self):
         spec = RngSpec(5)
@@ -126,10 +127,10 @@ class TestGroundStates:
 
     def test_cap_propagates(self):
         # the 8-regular all-ones 8x8 matrix has a kernel of dimension 7
-        matrix = BitMatrix.from_rows([[1] * 8] * 8, k_regular=8)
+        matrix = BitMatrix.from_rows([[1] * 8] * 8)
         with pytest.raises(KernelTooLargeError):
             enumerate_kernel(matrix, 4)
-        assert len(ground_states(Instance(matrix=matrix, k=8))) == 128
+        assert len(ground_states(Instance(matrix))) == 128
 
 
 class TestLocalMinima:
@@ -190,7 +191,8 @@ class TestLocalMinimaEngine:
         (4, [[0, 1, 2, 3]] * 4),
     ])
     def test_no_minima(self, k, supports):
-        inst = Instance(matrix=BitMatrix.from_row_supports(len(supports), supports, k_regular=k), k=k)
+        inst = Instance(BitMatrix.from_row_supports(len(supports), supports))
+        assert inst.k == k
         assert enumerate_local_minima(inst) == naive_local_minima(inst) == []
 
     def test_builds_no_energy_table(self, monkeypatch):

@@ -63,9 +63,15 @@ class TestBuildFamily:
         assert fam.m >= 1
 
     def test_corank_cap(self):
-        a = BitMatrix.from_rows([[1] * 10] * 10, k_regular=10)  # corank 9
+        a = BitMatrix.from_rows([[1] * 10] * 10)  # corank 9
         with pytest.raises(FamilyConstructionError, match="^corank 9 exceeds cap 8$"):
             build_family(a)
+
+    def test_irregular_matrix_refused_before_elimination(self):
+        for a in (BitMatrix(4, 4, (7, 11, 13, 15)), BitMatrix.zeros(4, 4)):
+            with pytest.raises(ValueError, match="^build_family needs a k-regular matrix with k >= 1$"):
+                build_family(a)
+            assert "_standard_basis" not in vars(a)
 
     def test_n60_count_bound_at_corank_two(self):
         # (n - d) / (2^d * 7) = 58/28 at k = 3, d = 2: the disjoint-marking
@@ -85,7 +91,7 @@ class TestBuildFamily:
         assert checked >= 2
 
     def test_identity_matrix_degenerate_case(self):
-        # regularity flag waived: rows share no columns, so every mark set
+        # the identity is 1-regular: rows share no columns, so every mark set
         # is a singleton and all n vectors are selected with y_j = e_j
         ident = BitMatrix.identity(6)
         fam = build_family(ident)
@@ -117,9 +123,7 @@ class TestEmitLocalMinimum:
     def test_pair_energy_two(self):
         inst = Instance.random(3, 40, RngSpec(83))
         fam = build_family(inst.matrix)
-        chi = [0] * fam.m
-        chi[0] = chi[1] = 1
-        u = emit_local_minimum(fam, chi)
+        u = emit_local_minimum(fam, [0, 1])
         assert mul_vec(inst.matrix, u).weight == 2
         assert is_local_minimum(inst, u)
 
@@ -129,10 +133,7 @@ class TestEmitLocalMinimum:
         count = 0
         for size in range(2, fam.m + 1, 2):
             for combo in itertools.combinations(range(fam.m), size):
-                chi = [0] * fam.m
-                for c in combo:
-                    chi[c] = 1
-                u = emit_local_minimum(fam, chi)
+                u = emit_local_minimum(fam, combo)
                 assert is_local_minimum(inst, u)
                 assert mul_vec(inst.matrix, u).weight == size
                 count += 1
@@ -141,12 +142,17 @@ class TestEmitLocalMinimum:
     def test_odd_and_zero_rejected(self):
         inst = Instance.random(3, 40, RngSpec(97))
         fam = build_family(inst.matrix)
-        with pytest.raises(ValueError):
-            emit_local_minimum(fam, [0] * fam.m)
-        chi = [0] * fam.m
-        chi[0] = 1
-        with pytest.raises(ValueError):
-            emit_local_minimum(fam, chi)
+        for flagged in ([], [0], [0, 1, 2]):
+            with pytest.raises(ValueError, match="even, nonzero"):
+                emit_local_minimum(fam, flagged)
+
+    def test_repeated_and_out_of_range_rejected(self):
+        inst = Instance.random(3, 40, RngSpec(97))
+        fam = build_family(inst.matrix)
+        assert fam.m >= 2
+        for flagged in ([0, 0], [1, 1, 0, 2], [0, fam.m], [-1, 0]):
+            with pytest.raises(ValueError, match="distinct indices"):
+                emit_local_minimum(fam, flagged)
 
     def test_constructed_minima_appear_in_exhaustive_enumeration(self):
         found = 0
@@ -155,9 +161,7 @@ class TestEmitLocalMinimum:
             fam = build_family(inst.matrix)
             if fam.m < 2:
                 continue
-            chi = [0] * fam.m
-            chi[0] = chi[1] = 1
-            u = emit_local_minimum(fam, chi)
+            u = emit_local_minimum(fam, [0, 1])
             assert u.bits in {v.bits for v in enumerate_local_minima(inst)}
             found += 1
         assert found >= 5
@@ -257,9 +261,7 @@ class TestSelectFarMinima:
             if fam.m < 2:
                 continue
             grounds = ground_states(inst)
-            chi = [0] * fam.m
-            chi[0] = chi[1] = 1
-            u = emit_local_minimum(fam, chi)
+            u = emit_local_minimum(fam, [0, 1])
             if not all((u ^ g).weight > Fraction(1, 2) for g in grounds):
                 continue
             cert = certified_barrier_bound(3, 1, 2)

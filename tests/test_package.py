@@ -121,15 +121,16 @@ def test_every_public_function_has_a_caller_in_src():
 
 
 def test_every_optional_parameter_is_set_by_a_caller_in_src():
-    # Each parameter with a default of a public module-level function is set by some
-    # call elsewhere in a src/ module, by keyword or by position.  Package API in
+    # Each parameter with a default of a public module-level function, or of a method
+    # (``__init__`` included) of a class outside xorland.__all__, is set by some call
+    # elsewhere in a src/ module, by keyword or by position; so is each field with a
+    # default of a dataclass or NamedTuple outside xorland.__all__.  Package API in
     # xorland.__all__ and the console-script target keep their parameters for users.
     import xorland
 
     modules = _src_modules()
     exempt = set(xorland.__all__) | {_console_script_target()}
-    calls = [(stmt, node) for tree in modules.values() for stmt in tree.body
-             for node in ast.walk(stmt) if isinstance(node, ast.Call)]
+    calls = [node for tree in modules.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
     def callee(call: ast.Call) -> str | None:
         f = call.func
@@ -141,18 +142,41 @@ def test_every_optional_parameter_is_set_by_a_caller_in_src():
                 or position is not None and len(call.args) > position
                 or any(kw.arg in (name, None) for kw in call.keywords))
 
-    unset = []
+    def uses(nodes: list[ast.AST], name: str) -> bool:
+        return any(name in _names(node, frozenset()) for node in nodes)
+
+    def optional(fn: ast.FunctionDef, skip: int) -> list[tuple[int | None, str]]:
+        # skip: the leading parameters a call does not pass, self or cls
+        positional = fn.args.posonlyargs + fn.args.args
+        return ([(i - skip, a.arg) for i, a in enumerate(positional)
+                 if i >= len(positional) - len(fn.args.defaults)]
+                + [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                   if d is not None])
+
+    # (label, the name a call uses, the definition whose own calls do not count, if any,
+    # and its optional parameters)
+    targets = []
     for module, tree in modules.items():
-        for fn in tree.body:
-            if (not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_")
-                    or fn.name in exempt):
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_") and stmt.name not in exempt:
+                targets.append((f"{module}.{stmt.name}", stmt.name, stmt, optional(stmt, 0)))
+            if not isinstance(stmt, ast.ClassDef) or stmt.name in exempt:
                 continue
-            positional = fn.args.posonlyargs + fn.args.args
-            optional = [(i, a.arg) for i, a in enumerate(positional)
-                        if i >= len(positional) - len(fn.args.defaults)]
-            optional += [(None, a.arg)
-                         for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
-            own_calls = [call for stmt, call in calls if stmt is not fn and callee(call) == fn.name]
-            unset += [f"{module}.{fn.name}({name})" for position, name in optional
-                      if not any(sets(call, position, name) for call in own_calls)]
+            for fn in stmt.body:
+                if isinstance(fn, ast.FunctionDef) and (fn.name == "__init__" or not fn.name.startswith("_")):
+                    static = uses(fn.decorator_list, "staticmethod")
+                    targets.append((f"{module}.{stmt.name}.{fn.name}",
+                                    stmt.name if fn.name == "__init__" else fn.name, fn,
+                                    optional(fn, 0 if static else 1)))
+            if uses(stmt.decorator_list, "dataclass") or uses(stmt.bases, "NamedTuple"):
+                fields = [f for f in stmt.body if isinstance(f, ast.AnnAssign)]
+                targets.append((f"{module}.{stmt.name}", stmt.name, None,
+                                [(i, f.target.id) for i, f in enumerate(fields) if f.value is not None]))
+
+    unset = []
+    for label, name, definition, params in targets:
+        own = set(ast.walk(definition)) if definition else set()
+        own_calls = [call for call in calls if callee(call) == name and call not in own]
+        unset += [f"{label}({param})" for position, param in params
+                  if not any(sets(call, position, param) for call in own_calls)]
     assert not unset, f"optional parameters that no caller in src/ sets: {unset}"
