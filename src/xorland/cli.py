@@ -186,7 +186,7 @@ def _cmd_landscape(args) -> int:
         summary={
             "ground_states": _to01s([g.bits for g in grounds], inst.n),
             "local_minima": len(states),
-            "barriers": sorted({r["barrier"] for r in records}) if records and not args.no_barriers else None,
+            "barriers": None if args.no_barriers else sorted({r["barrier"] for r in records}),
         },
     )
     print(f"{len(grounds)} ground states, {len(states)} local minima")

@@ -13,8 +13,9 @@ outward from the targets, one energy level h at a time (as Flamm et al.'s
 ``barriers`` program, 2002, floods the low-lying states; exact on
 plateaus).  One int32 label per state names the target whose flood reached
 it.  A state's height is the first level at which a flood reaches it, and
-its target the least one whose flood has met its own by then.  Flooding
-stops once every query is reached.
+its target the least one whose flood has met its own by then.  Each BFS
+round gathers the labels of all n neighbours of a block of frontier states
+at once.  Flooding stops once every query is reached.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ KERNEL_CAP = 1 << 16
 # and the table, 5).  Per-level index arrays come on top.
 _SWEEP_BYTES_PER_STATE = 6
 _UNSEEN = 255
+_BLOCK = 1024  # frontier states per gather of their n neighbours
 
 
 @dataclass(frozen=True)
@@ -170,23 +172,23 @@ def _flood(energies: np.ndarray, n: int, sources: np.ndarray, target: int | None
     """Flood the sublevel sets {E <= h} from the targets (the state ``target``,
     or with None every ground state), one level h at a time, until every
     source is reached.  Returns each source's height, the level at which a
-    flood reaches it, and the least target whose flood has joined it by then."""
+    flood reaches it, and the least target whose flood has joined it by then:
+    both depend on the components of {E <= h}, not on the order of taking."""
     seeds = np.flatnonzero(energies == 0) if target is None else np.array([target])
     # label[x]: the index in seeds of the flood that reached x, or E(x) - 256
     # while none has, so label[x] <= h - 256 picks the unreached states of
-    # E <= h, which a scan takes at once, per flip (so no state enters a
-    # frontier twice); least[i]: the least seed index that flood i has joined
+    # E <= h; least[i]: the least seed index that flood i has joined
     label = np.subtract(energies, 256, dtype=np.int32)
     label[seeds] = np.arange(seeds.size, dtype=np.int32)
     least = np.arange(seeds.size, dtype=np.int32)
+    flips = (1 << np.arange(n))[:, None]
     height, found = np.full(sources.size, -1), np.zeros(sources.size, dtype=np.intp)
     frontier = seeds
     for h in range(int(energies[seeds[0]]), int(energies.max()) + 1):
-        # each level state reads its neighbours' labels: the largest is a
-        # reached one if any, which seeds it (no target neighbours another),
-        # and the smallest is at most h - 256 if an unreached neighbour waits
-        # to be taken.  A seeded state scans its neighbours again only for
-        # that, or to find meetings while some floods have not joined.
+        # each level state reads its neighbours' labels: the largest, if
+        # reached, seeds it (no target neighbours another); once every flood
+        # has joined, a seeded state enters the frontier only if the smallest
+        # shows an unreached neighbour (<= h - 256) to take
         level = np.flatnonzero(energies == h)
         high, low = np.full(level.size, -1, dtype=np.int32), np.zeros(level.size, dtype=np.int32)
         for q in range(n):
@@ -199,23 +201,36 @@ def _flood(energies: np.ndarray, n: int, sources: np.ndarray, target: int | None
             seeded &= low <= h - 256
         frontier = np.concatenate([frontier, level[seeded]])
         while frontier.size:
-            own, grown, met_a, met_b = label[frontier], [], [], []
-            for q in range(n):
-                nb = frontier ^ (1 << q)
+            # a BFS round, all n flips of _BLOCK frontier states per gather;
+            # once every flood has joined, meetings change no answer
+            joined, grown, met_a, met_b = not least.any(), [], [], []
+            for i in range(0, frontier.size, _BLOCK):
+                block = frontier[i : i + _BLOCK]
+                nb = flips ^ block
                 other = label[nb]
                 take = other <= h - 256
-                nb = nb[take]
-                label[nb] = own[take]
-                grown.append(nb)
-                meet = (other ^ own) > 0  # other is reached (sign bit clear) and not own
-                met_a.append(own[meet])
-                met_b.append(other[meet])
-            a, b = least[np.concatenate(met_a)], least[np.concatenate(met_b)]
-            while (cross := a != b).any():  # hook the larger root under the smaller
-                np.minimum.at(least, np.maximum(a, b)[cross], np.minimum(a, b)[cross])
-                while not np.array_equal(up := least[least], least):
-                    least[:] = up
-                a, b = least[a], least[b]
+                got = nb[take]
+                # a state several takers share goes to the one whose position
+                # sticks; the winner's gather meets a loser's flood next round
+                pos = np.arange(got.size, dtype=np.int32)
+                label[got] = pos
+                first = label[got] == pos
+                grown.append(won := got[first])
+                if joined:
+                    label[won] = 0
+                else:
+                    own = np.broadcast_to(label[block], nb.shape)
+                    label[won] = own[take][first]
+                    meet = (other ^ own) > 0  # other is reached (sign bit clear) and not own
+                    met_a.append(own[meet])
+                    met_b.append(other[meet])
+            if not joined:
+                a, b = least[np.concatenate(met_a)], least[np.concatenate(met_b)]
+                while (cross := a != b).any():  # hook the larger root under the smaller
+                    np.minimum.at(least, np.maximum(a, b)[cross], np.minimum(a, b)[cross])
+                    while not np.array_equal(up := least[least], least):
+                        least[:] = up
+                    a, b = least[a], least[b]
             frontier = np.concatenate(grown)
         reached = (height < 0) & (label[sources] >= 0)
         height[reached] = h
@@ -274,12 +289,11 @@ def _barriers(
     n = inst.n
     if any(x.length != n for x in states) or target is not None and target.length != n:
         raise ValueError("state length mismatch")
+    if not states:
+        return []
     energies = energy_table(inst)
     sources = np.array([s.bits for s in states], dtype=np.intp)
     heights, found = _flood(energies, n, sources, None if target is None else target.bits)
-    results = []
-    for s, h, t in zip(states, heights.tolist(), found.tolist()):
-        path = _witness_path(energies, n, s.bits, t, h) if witness else None
-        results.append(BarrierResult(s=s, t=BitVector(n, t), height=h,
-                                     barrier=h - int(energies[s.bits]), witness_path=path))
-    return results
+    return [BarrierResult(s=s, t=BitVector(n, t), height=h, barrier=h - int(energies[s.bits]),
+                          witness_path=_witness_path(energies, n, s.bits, t, h) if witness else None)
+            for s, h, t in zip(states, heights.tolist(), found.tolist())]

@@ -129,6 +129,7 @@ class TestLandscape:
         assert main(["landscape", "--in", str(infile), *no_barriers, "--json", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["records"] == [] and data["summary"]["local_minima"] == 0
+        assert data["summary"]["barriers"] == (None if no_barriers else [])
 
     def test_scan_report_at_the_cap_pinned(self, tmp_path):
         # the n = 26 benchmark instance, digest recorded from the depth-first row-set search;
@@ -140,6 +141,17 @@ class TestLandscape:
         assert data["summary"]["local_minima"] == 8416
         digest = hashlib.sha256(json.dumps([data["records"], data["summary"]]).encode()).hexdigest()
         assert digest == "9fd1f75fe0610858eea1ef1d6eee006be0e7262e8e59758c1231607dfa0ef4e6"
+
+    def test_landscape_report_n17_pinned(self, tmp_path):
+        # the first instance of the landscape benchmark, barriers included; digest
+        # recorded from the flood that took the frontier one flip at a time
+        infile, out = tmp_path / "l.xnf", tmp_path / "l.json"
+        assert main(["gen", "--k", "3", "--n", "17", "--seed", "1000", "--out", str(infile)]) == 0
+        assert main(["landscape", "--in", str(infile), "--json", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["summary"]["local_minima"] == 246
+        digest = hashlib.sha256(json.dumps([data["records"], data["summary"]]).encode()).hexdigest()
+        assert digest == "a6f92c0efd0d1d36b2faffb32332854a1fa87b164640e362d611a57639b9f934"
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 26, 63, 64])
     def test_strings_match_to01(self, n):

@@ -275,6 +275,12 @@ class TestBarriers:
                 assert res.height == naive_bottleneck_height(inst, v, res.t)
 
 
+# 4 ground states each; in the last two some minima are reached before the
+# floods from all ground states join, so their ground is not the least one
+TIE_BREAK_CASES = [(3, 10, 5), (4, 10, 6), (3, 12, 7), (4, 12, 8), (5, 10, 10), (5, 12, 9),
+                   (3, 10, 7), (3, 11, 34)]
+
+
 class TestBarrierOracleDifferential:
     """The flooded barriers against the brute-force BFS oracles, deep queries included."""
 
@@ -299,18 +305,36 @@ class TestBarrierOracleDifferential:
             # odd k: the all-ones state violates every equation, so a query to it peaks at n
             assert energies[top] == n and max(heights) == n
 
-    @pytest.mark.parametrize("k,n,seed", [(3, 10, 5), (4, 10, 6), (3, 12, 7), (4, 12, 8),
-                                          (5, 10, 10), (5, 12, 9)])  # 4 ground states each
-    def test_ground_tie_break(self, k, n, seed):
+    @staticmethod
+    def tie_break_queries(k, n, seed):
+        """An instance with 4 ground states, its energies, and its local minima
+        plus 6 random states to query."""
         inst = Instance.random(k, n, RngSpec(71).with_stream(seed))
-        energies = naive_energies(inst)
         gen = RngSpec(73).generator(seed)
         states = enumerate_local_minima(inst)
         states += [BitVector(n, int(x)) for x in gen.integers(0, 1 << n, size=6)]
+        return inst, naive_energies(inst), states
+
+    @pytest.mark.parametrize("k,n,seed", TIE_BREAK_CASES)
+    def test_ground_tie_break(self, k, n, seed):
+        inst, energies, states = self.tie_break_queries(k, n, seed)
         for s, res in zip(states, barriers_to_ground(inst, states)):
             height, ground = naive_nearest_ground(inst, s, energies)
             assert (res.height, res.t.bits) == (height, ground)
             assert res.barrier == height - energies[s.bits]
+
+    @pytest.mark.parametrize("k,n,seed", TIE_BREAK_CASES)
+    def test_block_size_invariance(self, k, n, seed, monkeypatch):
+        # blocks of 1 or 3 frontier states split the takers of a state across
+        # blocks; the default block holds them together, so they contest it
+        inst, energies, states = self.tie_break_queries(k, n, seed)
+        expected = [naive_nearest_ground(inst, s, energies) for s in states]
+        s, top = BitVector(n, 0), BitVector(n, max(range(1 << n), key=energies.__getitem__))
+        deep = naive_bottleneck_height(inst, s, top, energies)
+        for block in (1, 3, landscape._BLOCK):
+            monkeypatch.setattr(landscape, "_BLOCK", block)
+            assert [(r.height, r.t.bits) for r in barriers_to_ground(inst, states)] == expected
+            assert bottleneck_height(inst, s, top).height == deep
 
     def test_even_k_plateaus(self):
         # Even k: a flip changes the energy by an even amount, often 0, so
@@ -344,7 +368,11 @@ class TestBarrierOracleDifferential:
         assert res.height == naive_bottleneck_height(inst, grounds[0], grounds[-1], energies)
         assert res.barrier == res.height
 
-    def test_empty_query_list(self, eq1_instance):
+    def test_empty_query_list(self, eq1_instance, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("energy table built")
+
+        monkeypatch.setattr(landscape, "energy_table", refuse)
         assert barriers_to_ground(eq1_instance, []) == []
 
 
