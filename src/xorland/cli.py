@@ -157,9 +157,9 @@ def _cmd_kernel(args) -> int:
     return _finish(report, args)
 
 
-def _to01s(bits: list[int], n: int) -> list[str]:
-    """``BitVector(n, b).to01()`` for each b (n <= 64), from one numpy pass."""
-    octets = np.array(bits, dtype="<u8").view(np.uint8).reshape(-1, 8)[:, : (n + 7) // 8]
+def _to01s(bits, n: int) -> list[str]:
+    """``BitVector(n, b).to01()`` for each code b (n <= 64), from one numpy pass."""
+    octets = np.asarray(bits, dtype="<u8").view(np.uint8).reshape(-1, 8)[:, : (n + 7) // 8]
     text = (np.unpackbits(octets, axis=1, bitorder="little")[:, :n] + ord("0")).tobytes().decode()
     return [text[i : i + n] for i in range(0, len(text), n)]
 
@@ -167,16 +167,15 @@ def _to01s(bits: list[int], n: int) -> list[str]:
 def _cmd_landscape(args) -> int:
     inst = read_instance(args.infile)
     grounds = landscape.ground_states(inst)
-    states = landscape.enumerate_local_minima(inst)
-    names = _to01s([s.bits for s in states], inst.n)
+    minima = landscape.enumerate_local_minima(inst)
+    names, energies = _to01s(minima.bits, inst.n), minima.energies.tolist()
     if args.no_barriers:
-        records = [{"state": s, "energy": e} for s, e in zip(names, landscape.energies(inst, states))]
+        records = [{"state": s, "energy": e} for s, e in zip(names, energies)]
     else:
-        results = landscape.barriers_to_ground(inst, states)
+        res = landscape.barriers_to_ground(inst, minima)
         records = [
-            {"state": s, "energy": r.height - r.barrier, "height": r.height, "barrier": r.barrier,
-             "ground": t}
-            for s, r, t in zip(names, results, _to01s([r.t.bits for r in results], inst.n))
+            {"state": s, "energy": e, "height": h, "barrier": h - e, "ground": t}
+            for s, e, h, t in zip(names, energies, res.heights.tolist(), _to01s(res.grounds, inst.n))
         ]
     report = Report(
         experiment="landscape",
@@ -185,11 +184,11 @@ def _cmd_landscape(args) -> int:
         records=records,
         summary={
             "ground_states": _to01s([g.bits for g in grounds], inst.n),
-            "local_minima": len(states),
+            "local_minima": len(minima),
             "barriers": None if args.no_barriers else sorted({r["barrier"] for r in records}),
         },
     )
-    print(f"{len(grounds)} ground states, {len(states)} local minima")
+    print(f"{len(grounds)} ground states, {len(minima)} local minima")
     for rec in records[:16]:
         print("  " + " ".join(f"{k}={v}" for k, v in rec.items()))
     if len(records) > 16:

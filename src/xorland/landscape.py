@@ -16,11 +16,14 @@ it.  A state's height is the first level at which a flood reaches it, and
 its target the least one whose flood has met its own by then.  Each BFS
 round gathers the labels of all n neighbours of a block of frontier states
 at once.  Flooding stops once every query is reached.
+
+Minima and barriers stay arrays (``StateArray``, ``Barriers``): read-only
+sequences whose States and BarrierResults are built only on access.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from collections import deque
 
 import numpy as np
 
@@ -30,11 +33,9 @@ from .rng import RngSpec
 
 EXHAUSTIVE_CAP = 26
 KERNEL_CAP = 1 << 16
-# Bytes per state a barrier sweep holds: the uint8 table, the int32 label map
-# and the uint8 witness marks (building the table holds a uint32 temporary
-# and the table, 5).  Per-level index arrays come on top.
-_SWEEP_BYTES_PER_STATE = 6
-_UNSEEN = 255
+# Bytes per state a barrier sweep holds, the uint8 table and the int32 label map,
+# as building the table does (a uint32 temporary); per-level index arrays come on top.
+_SWEEP_BYTES_PER_STATE = 5
 _BLOCK = 1024  # frontier states per gather of their n neighbours
 
 
@@ -73,23 +74,47 @@ class BarrierResult:
     t: State
     height: int
     barrier: int  # height - E(s)
-    witness_path: tuple[State, ...] | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class StateArray(Sequence):
+    """n-bit states as uint64 codes ``bits`` with their ``energies``: a
+    read-only sequence whose items, States, are built on access."""
+
+    n: int
+    bits: np.ndarray
+    energies: np.ndarray
+
+    def __len__(self):
+        return self.bits.size
+
+    def __getitem__(self, i):
+        j = range(len(self))[i]
+        return [self._item(x) for x in j] if isinstance(j, range) else self._item(j)
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    def _item(self, i):
+        return BitVector(self.n, int(self.bits[i]))
+
+
+@dataclass(frozen=True, eq=False)
+class Barriers(StateArray):
+    """The queries as intp ``bits``, their ``heights`` and targets ``grounds``: BarrierResult items."""
+
+    heights: np.ndarray
+    grounds: np.ndarray
+
+    def _item(self, i):
+        h = int(self.heights[i])
+        return BarrierResult(super()._item(i), BitVector(self.n, int(self.grounds[i])),
+                             h, h - int(self.energies[i]))
 
 
 def energy(inst: Instance, s: State) -> int:
     """Number of violated equations, the weight of A s."""
     return mul_vec(inst.matrix, s).weight
-
-
-def energies(inst: Instance, states: list[State]) -> list[int]:
-    """``energy`` of each state, in one vectorised pass over the rows (n <= 64)."""
-    if any(s.length != inst.n for s in states):
-        raise ValueError("state length mismatch")
-    bits = np.array([s.bits for s in states], dtype=np.uint64)
-    total = np.zeros(bits.size, dtype=np.int64)
-    for row in inst.matrix.rows:
-        total += np.bitwise_count(bits & np.uint64(row)) & 1
-    return total.tolist()
 
 
 def ground_states(inst: Instance) -> list[State]:
@@ -134,12 +159,12 @@ def energy_table(inst: Instance) -> np.ndarray:
     return np.bitwise_count(v)
 
 
-def enumerate_local_minima(inst: Instance) -> list[State]:
+def enumerate_local_minima(inst: Instance) -> StateArray:
     """All local minima, sorted by state bits.  The row sets that load no
     column beyond (k - 1) // 2 (a downward-closed family) are enumerated one
     size at a time in numpy arrays; each is lifted to a preimage and the
     preimages are expanded by the kernel, both from one standard-basis
-    elimination."""
+    elimination.  A minimum's energy is the size of its row set."""
     n = inst.n
     _check_cap(n)
     sol = solve_standard_basis(inst.matrix)
@@ -164,8 +189,10 @@ def enumerate_local_minima(inst: Instance) -> list[State]:
     span = np.zeros(1, np.uint64)
     for g in sol.kernel:
         span = np.concatenate([span, span ^ np.uint64(g.bits)])
-    found = np.sort((np.concatenate(found)[:, None] ^ span).ravel())
-    return [BitVector(n, s) for s in found.tolist()]
+    sizes = np.repeat(np.arange(1, len(found) + 1), [f.size * span.size for f in found])
+    codes = (np.concatenate(found)[:, None] ^ span).ravel()
+    order = np.argsort(codes)
+    return StateArray(n, codes[order], sizes[order])
 
 
 def _flood(energies: np.ndarray, n: int, sources: np.ndarray, target: int | None):
@@ -240,37 +267,12 @@ def _flood(energies: np.ndarray, n: int, sources: np.ndarray, target: int | None
     raise AssertionError("hypercube failed to connect below max energy")
 
 
-def _witness_path(energies: np.ndarray, n: int, s: int, t: int, height: int) -> tuple[State, ...]:
-    """A concrete s-t walk whose maximum energy equals the bottleneck height."""
-    via = np.full(1 << n, _UNSEEN, dtype=np.uint8)  # the bit flipped to reach each state
-    via[s] = 0
-    frontier = deque([s])
-    while frontier:
-        cur = frontier.popleft()
-        if cur == t:
-            break
-        for q in range(n):
-            nxt = cur ^ (1 << q)
-            if via[nxt] == _UNSEEN and energies[nxt] <= height:
-                via[nxt] = q
-                frontier.append(nxt)
-    if via[t] == _UNSEEN:
-        raise AssertionError("no path at the computed bottleneck height")
-    path = [t]
-    while path[-1] != s:
-        path.append(path[-1] ^ 1 << int(via[path[-1]]))
-    path.reverse()
-    return tuple(BitVector(n, p) for p in path)
-
-
-def bottleneck_height(inst: Instance, s: State, t: State, witness: bool = False) -> BarrierResult:
+def bottleneck_height(inst: Instance, s: State, t: State) -> BarrierResult:
     """Exact bottleneck height and barrier between two states."""
-    return _barriers(inst, [s], t, witness)[0]
+    return _barriers(inst, [s], t)[0]
 
 
-def barriers_to_ground(
-    inst: Instance, states: list[State], witness: bool = False
-) -> list[BarrierResult]:
+def barriers_to_ground(inst: Instance, states: Sequence[State]) -> Barriers:
     """Barriers from each state to its nearest-in-height ground state.
 
     All states share one flood from every ground state, grown until it
@@ -278,22 +280,22 @@ def barriers_to_ground(
     in the first connecting component.  The ground states are the table's
     level-0 states; no kernel is enumerated.
     """
-    return _barriers(inst, states, None, witness)
+    return _barriers(inst, states, None)
 
 
-def _barriers(
-    inst: Instance, states: list[State], target: State | None, witness: bool
-) -> list[BarrierResult]:
+def _barriers(inst: Instance, states: Sequence[State], target: State | None) -> Barriers:
     """Barriers from each state to ``target``, or with None to the ground
-    states, from one flood of the sublevel sets."""
+    states, from one flood of the sublevel sets.  A ``StateArray`` is read
+    as its code array."""
     n = inst.n
-    if any(x.length != n for x in states) or target is not None and target.length != n:
+    if isinstance(states, StateArray):
+        wrong, sources = states.n != n, states.bits.astype(np.intp)
+    else:
+        wrong, sources = any(x.length != n for x in states), np.array([s.bits for s in states], np.intp)
+    if wrong or target is not None and target.length != n:
         raise ValueError("state length mismatch")
-    if not states:
-        return []
+    if not sources.size:
+        return Barriers(n, sources, sources, sources, sources)
     energies = energy_table(inst)
-    sources = np.array([s.bits for s in states], dtype=np.intp)
     heights, found = _flood(energies, n, sources, None if target is None else target.bits)
-    return [BarrierResult(s=s, t=BitVector(n, t), height=h, barrier=h - int(energies[s.bits]),
-                          witness_path=_witness_path(energies, n, s.bits, t, h) if witness else None)
-            for s, h, t in zip(states, heights.tolist(), found.tolist())]
+    return Barriers(n, sources, energies[sources], heights, found)

@@ -1,10 +1,10 @@
 """Independent brute-force oracles used to validate the fast paths.
 
 Everything here recomputes from first principles (direct parity counting,
-breadth-first threshold connectivity, literal-level clause evaluation, energy
-table sweeps, listed spans, listed column subsets, schoolbook polynomial
-products, column-at-a-time elimination) and shares no code with the
-implementations it checks.
+breadth-first threshold connectivity and witness walks, literal-level clause
+evaluation, energy table sweeps, listed spans, listed column subsets,
+schoolbook polynomial products, column-at-a-time elimination) and shares no
+code with the implementations it checks.
 """
 from __future__ import annotations
 
@@ -85,6 +85,20 @@ def naive_bottleneck_height(
         if _reachable(energies, inst.n, s.bits, h)[t.bits]:
             return h
     raise AssertionError("unreachable: hypercube connects at max energy")
+
+
+def witness_path(energies: list[int], s: State, t: State, height: int) -> list[State]:
+    """A shortest s-t walk through states of energy <= height (BFS); KeyError if none."""
+    via, queue = {s.bits: None}, [s.bits]  # the state each was reached from
+    for cur in queue:  # the loop reads what it appends
+        for nxt in (cur ^ 1 << q for q in range(s.length)):
+            if nxt not in via and energies[nxt] <= height:
+                via[nxt] = cur
+                queue.append(nxt)
+    path = [t.bits]
+    while path[-1] is not None:
+        path.append(via[path[-1]])
+    return [BitVector(s.length, x) for x in reversed(path[:-1])]
 
 
 def naive_barrier_to_ground(inst: Instance, s: State, energies: list[int] | None = None) -> int:

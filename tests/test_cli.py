@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from xorland import cli, gf2
+from xorland import cli, gf2, landscape
 from xorland.cli import main
 from xorland.enumerator import kernel_bound_sum, weight_enumerator_table
 from xorland.instances import read_instance, write_instance
@@ -120,12 +120,17 @@ class TestLandscape:
         ["--k", "4", "--n", "4"],
     ])
     @pytest.mark.parametrize("no_barriers", [[], ["--no-barriers"]])
-    def test_no_minima_report(self, source, no_barriers, tmp_path):
+    def test_no_minima_report(self, source, no_barriers, monkeypatch, tmp_path):
         infile, out = tmp_path / "z.xnf", tmp_path / "l.json"
         if isinstance(source, str):
             infile.write_text(source)
         else:
             assert main(["gen", *source, "--seed", "1", "--out", str(infile)]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("energy table built")
+
+        monkeypatch.setattr(landscape, "energy_table", refuse)
         assert main(["landscape", "--in", str(infile), *no_barriers, "--json", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["records"] == [] and data["summary"]["local_minima"] == 0
@@ -165,7 +170,7 @@ class TestLandscape:
         write_instance(shifted_instance(3, 27, 1), infile)
         assert main(["landscape", "--in", str(infile)]) == 1
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: n=27 exceeds the exhaustive cap 26") and "768 MiB" in line
+        assert line.startswith("error: n=27 exceeds the exhaustive cap 26") and "640 MiB" in line
 
     def test_cap_option_is_gone(self, eq1_file):
         for command in ("landscape", "kernel"):
@@ -182,6 +187,36 @@ class TestLandscape:
         report = out.read_text().replace(json.dumps(str(infile)), '"<infile>"')
         assert report == (DATA / f"{name}_barriers.json").read_text()
         assert eliminations == [read_instance(infile).n]
+
+    @pytest.mark.parametrize("name", ["landscape_k3_n22", "landscape_k4_n18"])
+    def test_benchmark_hook_points(self, name, monkeypatch, tmp_path):
+        # the benchmark's tracer wraps these two module attributes as the command
+        # calls them, counts len() of their arguments and results and reads each
+        # result's .height; the report reads only their arrays
+        infile, out = DATA / f"{name}.xnf", tmp_path / "l.json"
+        calls = []
+        for attr in ("enumerate_local_minima", "barriers_to_ground"):
+            real = getattr(landscape, attr)
+            monkeypatch.setattr(landscape, attr, lambda *args, attr=attr, real=real:
+                                calls.append((attr, args, real(*args))) or calls[-1][2])
+        assert main(["landscape", "--in", str(infile), "--json", str(out)]) == 0
+        data = json.loads(out.read_text())
+        (first, _, minima), (second, (_, states), results) = calls
+        assert (first, second) == ("enumerate_local_minima", "barriers_to_ground")
+        assert len(minima) == len(states) == len(results) == data["summary"]["local_minima"]
+        assert max(r.height for r in results) == max(r["height"] for r in data["records"])
+
+        def refuse(self, i):
+            raise AssertionError("item built")
+
+        monkeypatch.setattr(landscape.StateArray, "__getitem__", refuse)
+        for flags, golden in (([], f"{name}_barriers.json"), (["--no-barriers"], f"{name}.json")):
+            calls.clear()
+            assert main(["landscape", "--in", str(infile), *flags, "--json", str(out)]) == 0
+            report = out.read_text().replace(json.dumps(str(infile)), '"<infile>"')
+            assert report == (DATA / golden).read_text()
+            assert [c[0] for c in calls] == ["enumerate_local_minima", "barriers_to_ground"][: 2 - len(flags)]
+        assert len(calls[0][2]) == data["summary"]["local_minima"]
 
 
 class TestExpand:

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from xorland import landscape
@@ -10,7 +11,6 @@ from xorland.landscape import (
     barriers_to_ground,
     bottleneck_height,
     energy,
-    energies,
     energy_table,
     enumerate_local_minima,
     ground_states,
@@ -23,6 +23,7 @@ from xorland.oracles import (
     naive_local_minima,
     naive_nearest_ground,
     table_local_minima,
+    witness_path,
 )
 from xorland.rng import RngSpec
 
@@ -79,7 +80,7 @@ class TestEnergy:
 
 
 class TestEnergies:
-    """The vectorised energies against ``energy``, state by state."""
+    """The minima's energies, their row-set sizes, against ``energy``, state by state."""
 
     @pytest.mark.parametrize("k,n,seed", [(3, 18, 0), (4, 16, 1), (5, 16, 2), (6, 16, 3)])
     def test_every_local_minimum(self, k, n, seed, shifted_instance):
@@ -87,23 +88,16 @@ class TestEnergies:
             inst = shifted_instance(k, n, seed)
         else:
             inst = Instance.random(k, n, RngSpec(107).with_stream(seed))
-        gen = RngSpec(109).generator(seed)
-        states = enumerate_local_minima(inst)
-        states += [BitVector(n, int(x)) for x in gen.integers(0, 1 << n, size=32)]
-        assert len(states) > 32
-        assert energies(inst, states) == [energy(inst, s) for s in states]
+        minima = enumerate_local_minima(inst)
+        assert len(minima) > 0
+        assert minima.energies.tolist() == [energy(inst, s) for s in minima]
 
     def test_scan_instance(self):
         # the n = 26 instance of `gen --k 3 --n 26 --seed 1000`: 8,416 minima
         inst = Instance.random(3, 26, RngSpec(1000))
-        states = enumerate_local_minima(inst)
-        assert len(states) == 8416
-        assert energies(inst, states) == [energy(inst, s) for s in states]
-
-    def test_empty_and_mismatched(self, eq1_instance):
-        assert energies(eq1_instance, []) == []
-        with pytest.raises(ValueError, match="length mismatch"):
-            energies(eq1_instance, [BitVector(4, 1), BitVector(5, 0)])
+        minima = enumerate_local_minima(inst)
+        assert len(minima) == 8416
+        assert minima.energies.tolist() == [energy(inst, s) for s in minima]
 
 
 class TestGroundStates:
@@ -140,8 +134,12 @@ class TestLocalMinima:
         assert not is_local_minimum(eq1_instance, BitVector.from01("1100"))
 
     def test_worked_example_enumeration(self, eq1_instance):
-        lm = {v.to01() for v in enumerate_local_minima(eq1_instance)}
-        assert lm == {"1110", "1101", "1011", "0111"}
+        minima = enumerate_local_minima(eq1_instance)
+        assert {v.to01() for v in minima} == {"1110", "1101", "1011", "0111"}
+        # a read-only sequence: negative indices and slices as a list's
+        assert minima[-1] == minima[3] and minima[1:3] == list(minima)[1:3]
+        with pytest.raises(IndexError):
+            minima[4]
 
     def test_cap_error_mentions_constructive_route(self, shifted_instance):
         with pytest.raises(ValueError, match="constructive"):
@@ -172,6 +170,8 @@ class TestLocalMinimaEngine:
             inst = Instance.random(k, n, RngSpec(89).with_stream(seed))
         fast = enumerate_local_minima(inst)
         assert fast == naive_local_minima(inst)
+        energies = naive_energies(inst)
+        assert fast.energies.tolist() == [energies[b] for b in fast.bits.tolist()]
         if k % 2 == 0:
             # even k: all-ones is a ground state, so minima come in pairs s, ~s
             ones = (1 << n) - 1
@@ -181,8 +181,9 @@ class TestLocalMinimaEngine:
                                           (3, 22, 4), (5, 18, 5), (5, 22, 6), (6, 20, 7)])
     def test_against_table_oracle(self, k, n, seed):
         inst = Instance.random(k, n, RngSpec(97).with_stream(seed))
-        fast = [v.bits for v in enumerate_local_minima(inst)]
-        assert fast == table_local_minima(energy_table(inst), n)
+        fast, table = enumerate_local_minima(inst), energy_table(inst)
+        assert [v.bits for v in fast] == fast.bits.tolist() == table_local_minima(table, n)
+        assert np.array_equal(fast.energies, table[fast.bits])
 
     @pytest.mark.parametrize("k,supports", [
         (1, [[0], [1], [2]]),  # limit 0: no row set can grow past the empty one
@@ -193,7 +194,9 @@ class TestLocalMinimaEngine:
     def test_no_minima(self, k, supports):
         inst = Instance(BitMatrix.from_row_supports(len(supports), supports))
         assert inst.k == k
-        assert enumerate_local_minima(inst) == naive_local_minima(inst) == []
+        minima = enumerate_local_minima(inst)
+        assert minima == naive_local_minima(inst) == []
+        assert minima.bits.size == minima.energies.size == 0
 
     def test_builds_no_energy_table(self, monkeypatch):
         inst = Instance.random(4, 12, RngSpec(101))
@@ -227,6 +230,9 @@ class TestBarriers:
         with pytest.raises(ValueError, match="length"):
             barriers_to_ground(eq1_instance, [good, bad])
         with pytest.raises(ValueError, match="length"):
+            barriers_to_ground(eq1_instance, landscape.StateArray(length, np.array([bits], np.uint64),
+                                                                  np.array([1])))
+        with pytest.raises(ValueError, match="length"):
             bottleneck_height(eq1_instance, bad, good)
         with pytest.raises(ValueError, match="length"):
             bottleneck_height(eq1_instance, good, bad)
@@ -254,10 +260,9 @@ class TestBarriers:
         assert res.height >= 4 and res.barrier >= 0
 
     def test_witness_path_realizes_height(self, eq1_instance):
-        res = bottleneck_height(
-            eq1_instance, BitVector.from01("1110"), BitVector.from01("0000"), witness=True
-        )
-        path = res.witness_path
+        s, t = BitVector.from01("1110"), BitVector.from01("0000")
+        res = bottleneck_height(eq1_instance, s, t)
+        path = witness_path(naive_energies(eq1_instance), s, t, res.height)
         assert path[0].to01() == "1110" and path[-1].to01() == "0000"
         for a, b in zip(path, path[1:]):
             assert (a ^ b).weight == 1
@@ -296,10 +301,10 @@ class TestBarrierOracleDifferential:
         heights = []
         for s_bits, t_bits in pairs:
             s, t = BitVector(n, s_bits), BitVector(n, t_bits)
-            res = bottleneck_height(inst, s, t, witness=True)
+            res = bottleneck_height(inst, s, t)
             assert res.height == naive_bottleneck_height(inst, s, t, energies)
             assert res.barrier == res.height - energies[s_bits]
-            assert max(energies[p.bits] for p in res.witness_path) == res.height
+            assert max(energies[p.bits] for p in witness_path(energies, s, t, res.height)) == res.height
             heights.append(res.height)
         if k % 2:
             # odd k: the all-ones state violates every equation, so a query to it peaks at n
@@ -311,17 +316,26 @@ class TestBarrierOracleDifferential:
         plus 6 random states to query."""
         inst = Instance.random(k, n, RngSpec(71).with_stream(seed))
         gen = RngSpec(73).generator(seed)
-        states = enumerate_local_minima(inst)
+        states = list(enumerate_local_minima(inst))
         states += [BitVector(n, int(x)) for x in gen.integers(0, 1 << n, size=6)]
         return inst, naive_energies(inst), states
 
     @pytest.mark.parametrize("k,n,seed", TIE_BREAK_CASES)
     def test_ground_tie_break(self, k, n, seed):
         inst, energies, states = self.tie_break_queries(k, n, seed)
-        for s, res in zip(states, barriers_to_ground(inst, states)):
+        results = barriers_to_ground(inst, states)
+        for s, res in zip(states, results):
             height, ground = naive_nearest_ground(inst, s, energies)
             assert (res.height, res.t.bits) == (height, ground)
             assert res.barrier == height - energies[s.bits]
+        # the arrays behind the sequence are its materialised items
+        items = list(results)
+        assert results.bits.tolist() == [r.s.bits for r in items] == [s.bits for s in states]
+        assert results.energies.tolist() == [r.height - r.barrier for r in items]
+        assert results.heights.tolist() == [r.height for r in items]
+        assert results.grounds.tolist() == [r.t.bits for r in items]
+        minima = enumerate_local_minima(inst)
+        assert list(barriers_to_ground(inst, minima)) == items[: len(minima)]
 
     @pytest.mark.parametrize("k,n,seed", TIE_BREAK_CASES)
     def test_block_size_invariance(self, k, n, seed, monkeypatch):
@@ -373,7 +387,8 @@ class TestBarrierOracleDifferential:
             raise AssertionError("energy table built")
 
         monkeypatch.setattr(landscape, "energy_table", refuse)
-        assert barriers_to_ground(eq1_instance, []) == []
+        empty = barriers_to_ground(eq1_instance, [])
+        assert empty == [] and type(empty) is landscape.Barriers
 
 
 class TestExhaustiveCap:
@@ -399,7 +414,7 @@ class TestExhaustiveCap:
         message = str(err.value)
         assert peak < 1 << 20
         assert "cap 26" in message and f"2**{n} states" in message
-        assert "768 MiB" in message and "constructive" in message
+        assert "640 MiB" in message and "constructive" in message
 
 
 class TestExpansionEnergyInvariant:
