@@ -1,12 +1,6 @@
 """Random k-regular XORSAT instances and exact energy-landscape analytics."""
 
-from .ensemble import (
-    Configuration,
-    estimate_simple_probability,
-    induced_matrix,
-    sample_configuration,
-    sample_k_regular,
-)
+from .ensemble import estimate_simple_probability, sample_k_regular
 from .gf2 import (
     BitMatrix,
     BitVector,
@@ -35,7 +29,6 @@ __all__ = [
     "BitMatrix",
     "BitVector",
     "State",
-    "Configuration",
     "Instance",
     "BarrierResult",
     "RngSpec",
@@ -44,8 +37,6 @@ __all__ = [
     "kernel_basis",
     "enumerate_kernel",
     "solve_standard_basis",
-    "sample_configuration",
-    "induced_matrix",
     "sample_k_regular",
     "estimate_simple_probability",
     "energy",

@@ -1,4 +1,4 @@
-"""Small shared numeric helpers."""
+"""Small shared numeric helpers and preconditions."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -17,3 +17,11 @@ def exact_fraction(x) -> Fraction:
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"{x!r} has a zero denominator") from None
+
+
+def validate_kn(k: int, n: int):
+    """The precondition of every k-regular n x n construction: 3 <= k <= n."""
+    if k < 3:
+        raise ValueError(f"k must be >= 3, got {k}")
+    if n < k:
+        raise ValueError(f"n must be >= k, got n={n}, k={k}")

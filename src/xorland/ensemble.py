@@ -11,11 +11,11 @@ of simple configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._util import validate_kn
 from .gf2 import BitMatrix
 from .rng import RngSpec
 
@@ -26,33 +26,6 @@ class MaxTriesExceededError(RuntimeError):
     def __init__(self, attempts: int):
         super().__init__(f"no simple configuration after {attempts} attempts")
         self.attempts = attempts
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """A bijection between k*n left points and k*n right points.
-
-    ``pairing[i]`` is the right point matched to left point ``i``; point
-    ``p`` belongs to cell ``p // k`` on its side.
-    """
-
-    k: int
-    n: int
-    pairing: tuple[int, ...]
-
-    def __post_init__(self):
-        m = self.k * self.n
-        if len(self.pairing) != m:
-            raise ValueError("pairing length must be k*n")
-        if sorted(self.pairing) != list(range(m)):
-            raise ValueError("pairing must be a permutation of range(k*n)")
-
-
-def _validate_kn(k: int, n: int):
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
-    if n < k:
-        raise ValueError(f"n must be >= k, got n={n}, k={k}")
 
 
 def _pairings(k: int, n: int, rng: RngSpec, count: int):
@@ -66,22 +39,6 @@ def _pairings(k: int, n: int, rng: RngSpec, count: int):
         yield gen.permuted(perms, axis=1, out=perms)
         count -= size
         batch = min(batch * 4, 1 << 12)
-
-
-def sample_configuration(k: int, n: int, rng: RngSpec) -> Configuration:
-    """Uniformly random configuration: the first pairing of the stream of ``rng``."""
-    _validate_kn(k, n)
-    perm = next(_pairings(k, n, rng, 1))[0]
-    return Configuration(k, n, tuple(perm.tolist()))
-
-
-def induced_matrix(cfg: Configuration) -> tuple[np.ndarray, bool]:
-    """Cell-to-cell pairing counts and whether they form a 0/1 matrix."""
-    k, n = cfg.k, cfg.n
-    left = np.arange(k * n) // k
-    right = np.asarray(cfg.pairing) // k
-    counts = np.bincount(left * n + right, minlength=n * n).reshape(n, n)
-    return counts, bool(counts.max() <= 1)
 
 
 def _simple_rows(perms: np.ndarray, k: int, n: int) -> np.ndarray:
@@ -114,10 +71,10 @@ def sample_k_regular(k: int, n: int, rng: RngSpec, max_tries: int | None = None)
 
     Returns the matrix together with the number of rejected (non-simple)
     configurations.  The accepted configuration is the first simple pairing
-    of the stream of ``rng`` (``sample_configuration``'s when none is
-    rejected), so the result is a deterministic function of the RngSpec.
+    of the stream of ``rng`` (its first pairing when none is rejected), so
+    the result is a deterministic function of the RngSpec.
     """
-    _validate_kn(k, n)
+    validate_kn(k, n)
     if max_tries is None:
         max_tries = default_max_tries(k)
     if max_tries < 1:
@@ -145,7 +102,7 @@ class SimpleEstimate(NamedTuple):
 def estimate_simple_probability(k: int, n: int, trials: int, rng: RngSpec) -> SimpleEstimate:
     """Empirical fraction of simple configurations among the first ``trials``
     pairings of the stream of ``rng``, with binomial standard error."""
-    _validate_kn(k, n)
+    validate_kn(k, n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     batches = _pairings(k, n, rng, trials)

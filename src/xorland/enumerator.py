@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Sequence
 
+from ._util import validate_kn
+
 
 @dataclass(frozen=True)
 class IntPoly:
@@ -162,10 +164,7 @@ def kernel_bound_sum(k: int, n: int) -> KernelBoundSum:
     are stepped from w to w + 1 by their term ratios, and each region's
     terms are summed as a balanced tree.
     """
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
-    if n < k:
-        raise ValueError("need n >= k")
+    validate_kn(k, n)
     table = weight_enumerator_table(k, n)
     terms = {tag: [] for tag in RegionTag}
     c_n = c_kn = 1  # C(n, w) and C(kn, kw)

@@ -24,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import exact_fraction
-from .ensemble import _validate_kn
+from ._util import exact_fraction, validate_kn
 from .gf2 import BitVector, State, mul_vec
 from .landscape import Instance
 from .rng import RngSpec
@@ -169,7 +168,7 @@ def frw_experiment(
     if base + 2_000_003 > 1 << 64:
         raise ValueError("stream too large for the stream layout")
     for n in n_list:
-        _validate_kn(k, n)
+        validate_kn(k, n)
     _check_start_width(max(n_list))  # these checks all run before the first instance is sampled
     summaries = []
     for ni, n in enumerate(n_list):

@@ -65,13 +65,6 @@ class BitVector:
             bits |= 1 << j
         return cls(length, bits)
 
-    @classmethod
-    def from01(cls, text: str) -> "BitVector":
-        """Parse a string like ``"1110"``; character ``i`` is coordinate ``i``."""
-        if not text or set(text) - {"0", "1"}:
-            raise ValueError(f"not a 0/1 string: {text!r}")
-        return cls(len(text), int(text[::-1], 2))
-
     def to01(self) -> str:
         return format(self.bits, f"0{self.length}b")[::-1]
 
@@ -127,14 +120,6 @@ class BitMatrix:
         masks = tuple(BitVector.from_indices(n_cols, s).bits for s in supports)
         return cls(len(masks), n_cols, masks)
 
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int) -> "BitMatrix":
-        return cls(n_rows, n_cols, (0,) * n_rows)
-
     @cached_property
     def column_masks(self) -> tuple[int, ...]:
         """Column j as a bit mask over row indices."""
@@ -184,9 +169,6 @@ class BitMatrix:
             dependent_rows=tuple(i for i in range(m) if not ind_mask >> i & 1),
             kernel=tuple(BitVector(n_cols, w >> m) for w in dependent),
         )
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i] >> j & 1
 
 
 def mul_vec(a: BitMatrix, x: BitVector) -> BitVector:

@@ -1,10 +1,10 @@
 """Independent brute-force oracles used to validate the fast paths.
 
-Everything here recomputes from first principles (direct parity counting,
-breadth-first threshold connectivity and witness walks, literal-level clause
-evaluation, energy table sweeps, listed spans, listed column subsets,
-schoolbook polynomial products, column-at-a-time elimination) and shares no
-code with the implementations it checks.
+Everything here recomputes from first principles (cell-pair counts, direct
+parity counting, breadth-first threshold connectivity and witness walks,
+literal-level clause evaluation, energy table sweeps, listed spans, listed
+column subsets, schoolbook polynomial products, column-at-a-time elimination)
+and shares no code with the implementations it checks.
 """
 from __future__ import annotations
 
@@ -17,6 +17,16 @@ import numpy as np
 from .gf2 import BitMatrix, BitVector, State
 from .landscape import Instance
 from .rng import RngSpec
+
+
+def induced_matrix(k: int, n: int, pairing) -> tuple[np.ndarray, bool]:
+    """The configuration model's matrix: cell-to-cell pairing counts, where
+    left point i is paired to right point pairing[i] and point p lies in cell
+    p // k, and whether those counts form a 0/1 matrix."""
+    left = np.arange(k * n) // k
+    right = np.asarray(pairing) // k
+    counts = np.bincount(left * n + right, minlength=n * n).reshape(n, n)
+    return counts, bool(counts.max() <= 1)
 
 
 def naive_energy(inst: Instance, state_bits: int) -> int:

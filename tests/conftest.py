@@ -2,8 +2,13 @@ import random
 
 import pytest
 
-from xorland.gf2 import BitMatrix
+from xorland.gf2 import BitMatrix, BitVector
 from xorland.landscape import Instance
+
+
+def state01(text: str) -> BitVector:
+    """The state written as a 0/1 string, such as "1110"; character i is coordinate i."""
+    return BitVector(len(text), int(text[::-1], 2))
 
 
 @pytest.fixture

@@ -57,6 +57,14 @@ class TestGen:
         assert line.startswith("error: seed and stream must be in [0, 2**64)")
         assert not out.exists()
 
+    @pytest.mark.parametrize("k,n,message", [("3", "2", "n must be >= k, got n=2, k=3"),
+                                             ("2", "5", "k must be >= 3, got 2")])
+    def test_k_or_n_out_of_range_is_one(self, k, n, message, tmp_path, capsys):
+        out = tmp_path / "g.xnf"
+        assert main(["gen", "--k", k, "--n", n, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_huge_k_tries_its_budget_and_is_one(self, tmp_path, capsys):
         # exp((k-1)^2/2) overflows a float from k = 39; the warning must not
         out = tmp_path / "g.xnf"
@@ -302,6 +310,11 @@ class TestCoeffs:
         # report claims one
         assert main(["coeffs", "--k", str(k), "--n", "50", "--table", "S"]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: k must be >= 3, got {k}"]
+
+    def test_s_table_n_below_k_is_one(self, capsys):
+        # the k/n precondition of gen and walk, in the same words
+        assert main(["coeffs", "--k", "3", "--n", "2", "--table", "S"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: n must be >= k, got n=2, k=3"]
 
     def test_u_table_default_delta(self, tmp_path):
         out = tmp_path / "u.json"

@@ -6,16 +6,15 @@ import pytest
 from scipy.stats import chi2
 
 from xorland.ensemble import (
-    Configuration,
     MaxTriesExceededError,
     default_max_tries,
     estimate_simple_probability,
+    _pairings,
     _simple_rows,
-    induced_matrix,
-    sample_configuration,
     sample_k_regular,
 )
 from xorland.gf2 import BitMatrix
+from xorland.oracles import induced_matrix
 from xorland.rng import RngSpec
 
 
@@ -23,37 +22,24 @@ def _dense(a: BitMatrix) -> list[list[int]]:
     return [[row >> j & 1 for j in range(a.n_cols)] for row in a.rows]
 
 
+def _first_pairing(k: int, n: int, rng: RngSpec) -> np.ndarray:
+    return next(_pairings(k, n, rng, 1))[0]
+
+
 class TestConfiguration:
     def test_sample_shape_and_sums(self):
-        cfg = sample_configuration(3, 3, RngSpec(1))
-        counts, _ = induced_matrix(cfg)
+        counts, _ = induced_matrix(3, 3, _first_pairing(3, 3, RngSpec(1)))
         assert counts.shape == (3, 3)
         assert (counts.sum(axis=0) == 3).all()
         assert (counts.sum(axis=1) == 3).all()
 
-    def test_determinism(self):
-        a = sample_configuration(3, 5, RngSpec(7, stream=2))
-        b = sample_configuration(3, 5, RngSpec(7, stream=2))
-        assert a == b
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            sample_configuration(3, 2, RngSpec(0))
-        with pytest.raises(ValueError):
-            sample_configuration(2, 5, RngSpec(0))
-
     def test_identity_pairing_not_simple(self):
-        cfg = Configuration(3, 4, tuple(range(12)))
-        counts, simple = induced_matrix(cfg)
+        counts, simple = induced_matrix(3, 4, range(12))
         assert not simple
         assert (counts == 3 * np.eye(4)).all()
 
     def test_pinned_pairing(self):
-        assert sample_configuration(3, 5, RngSpec(2)).pairing[:8] == (10, 13, 0, 4, 7, 3, 2, 14)
-
-    def test_bad_pairing_rejected(self):
-        with pytest.raises(ValueError):
-            Configuration(3, 3, (0,) * 9)
+        assert _first_pairing(3, 5, RngSpec(2))[:8].tolist() == [10, 13, 0, 4, 7, 3, 2, 14]
 
 
 class TestSampleKRegular:
@@ -80,7 +66,7 @@ class TestSampleKRegular:
         # one stream: with no rejection, the sample is the first pairing's matrix
         accepted = []
         for seed in range(40):
-            counts, simple = induced_matrix(sample_configuration(3, 8, RngSpec(seed)))
+            counts, simple = induced_matrix(3, 8, _first_pairing(3, 8, RngSpec(seed)))
             res = sample_k_regular(3, 8, RngSpec(seed))
             assert simple == (res.rejections == 0)
             if simple:
@@ -178,8 +164,7 @@ class TestSimpleProbability:
         hits = 0
         trials = 200
         for t in range(trials):
-            cfg = sample_configuration(3, 20, RngSpec(31).with_stream(t))
-            _, simple = induced_matrix(cfg)
+            _, simple = induced_matrix(3, 20, _first_pairing(3, 20, RngSpec(31).with_stream(t)))
             hits += simple
         est = estimate_simple_probability(3, 20, trials, RngSpec(37))
         # Both are binomial draws from the same distribution; crude sanity band.
@@ -200,6 +185,5 @@ class TestSimpleProbability:
                 p[[a, b]] = p[[b, a]]
             perms.append(p)
         mask = _simple_rows(np.array(perms), k, n)
-        assert mask.tolist() == [induced_matrix(Configuration(k, n, tuple(p.tolist())))[1]
-                                 for p in perms]
+        assert mask.tolist() == [induced_matrix(k, n, p)[1] for p in perms]
         assert 100 < mask.sum() < len(perms) - 50

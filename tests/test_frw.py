@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import state01
 from xorland.frw import (
     drift_probability,
     frw_experiment,
@@ -24,7 +25,7 @@ def _step(inst: Instance, s: BitVector, rng: RngSpec) -> BitVector:
 
 class TestFrwStep:
     def test_single_flip_within_violated_equation(self, eq1_instance):
-        s = BitVector.from01("1110")
+        s = state01("1110")
         for trial in range(50):
             t = _step(eq1_instance, s, RngSpec(1, trial))
             flipped = (s ^ t).support()
@@ -32,7 +33,7 @@ class TestFrwStep:
             # the flipped variable occurs in some violated equation of s
             violated = mul_vec(eq1_instance.matrix, s)
             ok = any(
-                eq1_instance.matrix.entry(i, flipped[0])
+                eq1_instance.matrix.rows[i] >> flipped[0] & 1
                 for i in violated.support()
             )
             assert ok
@@ -40,7 +41,7 @@ class TestFrwStep:
     def test_uniform_over_single_violated_equation(self, eq1_instance):
         # From 1110 only the last equation (over x1, x2, x3) is violated:
         # each of its variables flips with probability 1/3.
-        s = BitVector.from01("1110")
+        s = state01("1110")
         freqs = Counter()
         trials = 30000
         for trial in range(trials):
@@ -53,21 +54,21 @@ class TestFrwStep:
 
 class TestFrwRun:
     def test_ground_start(self, eq1_instance):
-        trace = frw_run(eq1_instance, BitVector.from01("0000"), RngSpec(1), 100)
+        trace = frw_run(eq1_instance, state01("0000"), RngSpec(1), 100)
         assert trace.steps == 0 and trace.hit_ground
 
     def test_small_instance_recurrent(self, eq1_instance):
-        trace = frw_run(eq1_instance, BitVector.from01("1110"), RngSpec(5), 10**6)
+        trace = frw_run(eq1_instance, state01("1110"), RngSpec(5), 10**6)
         assert trace.hit_ground
         assert trace.terminal.to01() == "0000"
 
     def test_deterministic(self, eq1_instance):
-        a = frw_run(eq1_instance, BitVector.from01("1110"), RngSpec(7), 5000)
-        b = frw_run(eq1_instance, BitVector.from01("1110"), RngSpec(7), 5000)
+        a = frw_run(eq1_instance, state01("1110"), RngSpec(7), 5000)
+        b = frw_run(eq1_instance, state01("1110"), RngSpec(7), 5000)
         assert a == b
 
     def test_cap_is_outcome_not_error(self, eq1_instance):
-        trace = frw_run(eq1_instance, BitVector.from01("1110"), RngSpec(7), 1)
+        trace = frw_run(eq1_instance, state01("1110"), RngSpec(7), 1)
         assert trace.steps == 1 and not trace.hit_ground
 
     def test_each_step_flips_one_bit(self, eq1_instance):
@@ -119,8 +120,8 @@ class TestWalkOracleDifferential:
 class TestDriftProbability:
     def test_worked_example_toward_ground(self, eq1_instance):
         # from 1110 every focused flip moves toward 0000, so drift away = 0
-        s = BitVector.from01("1110")
-        g = BitVector.from01("0000")
+        s = state01("1110")
+        g = state01("0000")
         assert drift_probability(eq1_instance, g, s) == 0
 
     def test_single_disagreement(self):
@@ -154,7 +155,7 @@ class TestDriftProbability:
 
     def test_zero_energy_rejected(self, eq1_instance):
         with pytest.raises(ValueError):
-            drift_probability(eq1_instance, BitVector.from01("0000"), BitVector.from01("0000"))
+            drift_probability(eq1_instance, state01("0000"), state01("0000"))
 
     def test_drift_bound_value(self):
         assert focused_drift_lower_bound(6, Fraction(1, 3)) == Fraction(55, 108)
@@ -194,7 +195,7 @@ class TestStepDistribution:
         e = len(violated)
         expected = {}
         for q in range(10):
-            mass = sum(1 for i in violated if inst.matrix.entry(i, q)) / (3 * e)
+            mass = sum(1 for i in violated if inst.matrix.rows[i] >> q & 1) / (3 * e)
             if mass:
                 expected[q] = mass
         trials = 60000

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import state01
 from xorland import landscape
 from xorland.expansion import ExpansionParams, check_boundary_expander
 from xorland.gf2 import BitMatrix, BitVector, KernelTooLargeError, enumerate_kernel
@@ -33,7 +34,7 @@ class TestInstance:
         assert Instance(eq1_matrix).k == 3
         with pytest.raises(TypeError):
             Instance(eq1_matrix, 3)  # provenance is keyword-only
-        refused = [BitMatrix.zeros(4, 4), BitMatrix.from_rows([[1, 1, 1]] * 2),
+        refused = [BitMatrix(4, 4, (0,) * 4), BitMatrix.from_rows([[1, 1, 1]] * 2),
                    BitMatrix(4, 4, (7, 11, 13, 15))]
         for matrix in refused:
             with pytest.raises(ValueError, match="^instance matrix must be k-regular with k >= 1$"):
@@ -48,9 +49,9 @@ class TestInstance:
 
 class TestEnergy:
     def test_worked_example_values(self, eq1_instance):
-        assert energy(eq1_instance, BitVector.from01("0000")) == 0
-        assert energy(eq1_instance, BitVector.from01("1110")) == 1
-        assert energy(eq1_instance, BitVector.from01("1111")) == 4
+        assert energy(eq1_instance, state01("0000")) == 0
+        assert energy(eq1_instance, state01("1110")) == 1
+        assert energy(eq1_instance, state01("1111")) == 4
 
     def test_length_mismatch(self, eq1_instance):
         with pytest.raises(ValueError):
@@ -129,9 +130,9 @@ class TestGroundStates:
 
 class TestLocalMinima:
     def test_worked_example_membership(self, eq1_instance):
-        assert is_local_minimum(eq1_instance, BitVector.from01("1110"))
-        assert not is_local_minimum(eq1_instance, BitVector.from01("0000"))
-        assert not is_local_minimum(eq1_instance, BitVector.from01("1100"))
+        assert is_local_minimum(eq1_instance, state01("1110"))
+        assert not is_local_minimum(eq1_instance, state01("0000"))
+        assert not is_local_minimum(eq1_instance, state01("1100"))
 
     def test_worked_example_enumeration(self, eq1_instance):
         minima = enumerate_local_minima(eq1_instance)
@@ -211,22 +212,22 @@ class TestLocalMinimaEngine:
 
 class TestBarriers:
     def test_worked_example_barrier(self, eq1_instance):
-        res = bottleneck_height(eq1_instance, BitVector.from01("1110"), BitVector.from01("0000"))
+        res = bottleneck_height(eq1_instance, state01("1110"), state01("0000"))
         assert res.height == 3
         assert res.barrier == 2
 
     def test_barrier_to_ground_worked_example(self, eq1_instance):
-        res = barriers_to_ground(eq1_instance, [BitVector.from01("1101")])[0]
+        res = barriers_to_ground(eq1_instance, [state01("1101")])[0]
         assert res.barrier == 2
         assert res.t.to01() == "0000"
 
     def test_ground_state_has_zero_barrier(self, eq1_instance):
-        res = barriers_to_ground(eq1_instance, [BitVector.from01("0000")])[0]
+        res = barriers_to_ground(eq1_instance, [state01("0000")])[0]
         assert res.barrier == 0 and res.height == 0
 
     @pytest.mark.parametrize("length,bits", [(5, 0b0111), (6, 0b110110)])  # in and beyond 2**4
     def test_wrong_length_states_rejected(self, eq1_instance, length, bits):
-        bad, good = BitVector(length, bits), BitVector.from01("0000")
+        bad, good = BitVector(length, bits), state01("0000")
         with pytest.raises(ValueError, match="length"):
             barriers_to_ground(eq1_instance, [good, bad])
         with pytest.raises(ValueError, match="length"):
@@ -256,11 +257,11 @@ class TestBarriers:
             assert bottleneck_height(inst, s, t).height == bottleneck_height(inst, t, s).height
 
     def test_height_at_least_endpoint_energy(self, eq1_instance):
-        res = bottleneck_height(eq1_instance, BitVector.from01("1111"), BitVector.from01("0000"))
+        res = bottleneck_height(eq1_instance, state01("1111"), state01("0000"))
         assert res.height >= 4 and res.barrier >= 0
 
     def test_witness_path_realizes_height(self, eq1_instance):
-        s, t = BitVector.from01("1110"), BitVector.from01("0000")
+        s, t = state01("1110"), state01("0000")
         res = bottleneck_height(eq1_instance, s, t)
         path = witness_path(naive_energies(eq1_instance), s, t, res.height)
         assert path[0].to01() == "1110" and path[-1].to01() == "0000"
