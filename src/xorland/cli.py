@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import enumerator, expansion, frw, gf2, landscape, minima
-from .instances import Report, export_cnf, read_instance, write_instance
+from .instances import Report, Table, export_cnf, read_instance, write_instance
 from .landscape import Instance
 from .rng import RngSpec
 
@@ -149,7 +149,7 @@ def _cmd_kernel(args) -> int:
         experiment="kernel",
         parameters={"infile": args.infile, "k": inst.k, "n": inst.n},
         rng=inst.provenance if isinstance(inst.provenance, RngSpec) else None,
-        records=[{"ground_state": g.to01(), "weight": g.weight} for g in grounds],
+        records=Table(ground_state=[g.to01() for g in grounds], weight=[g.weight for g in grounds]),
         summary={"rank": r, "corank": len(basis), "kernel_size": len(grounds),
                  "basis": [b.to01() for b in basis]},
     )
@@ -168,26 +168,16 @@ def _cmd_landscape(args) -> int:
     inst = read_instance(args.infile)
     grounds = landscape.ground_states(inst)
     minima = landscape.enumerate_local_minima(inst)
-    names, energies = _to01s(minima.bits, inst.n), minima.energies.tolist()
-    if args.no_barriers:
-        records = [{"state": s, "energy": e} for s, e in zip(names, energies)]
-    else:
+    columns = {"state": _to01s(minima.bits, inst.n), "energy": minima.energies.tolist()}
+    if not args.no_barriers:
         res = landscape.barriers_to_ground(inst, minima)
-        records = [
-            {"state": s, "energy": e, "height": h, "barrier": h - e, "ground": t}
-            for s, e, h, t in zip(names, energies, res.heights.tolist(), _to01s(res.grounds, inst.n))
-        ]
-    report = Report(
-        experiment="landscape",
-        parameters={"infile": args.infile, "k": inst.k, "n": inst.n},
-        rng=None,
-        records=records,
-        summary={
-            "ground_states": _to01s([g.bits for g in grounds], inst.n),
-            "local_minima": len(minima),
-            "barriers": None if args.no_barriers else sorted({r["barrier"] for r in records}),
-        },
-    )
+        columns.update(height=res.heights.tolist(), barrier=(res.heights - minima.energies).tolist(),
+                       ground=_to01s(res.grounds, inst.n))
+    records = Table(**columns)
+    summary = {"ground_states": _to01s([g.bits for g in grounds], inst.n), "local_minima": len(minima),
+               "barriers": None if args.no_barriers else sorted(set(columns["barrier"]))}
+    report = Report("landscape", {"infile": args.infile, "k": inst.k, "n": inst.n}, None,
+                    records=records, summary=summary)
     print(f"{len(grounds)} ground states, {len(minima)} local minima")
     for rec in records[:16]:
         print("  " + " ".join(f"{k}={v}" for k, v in rec.items()))
@@ -262,16 +252,15 @@ def _cmd_walk(args) -> int:
     if spec.stream + args.trials >= 1 << 64:  # trial t draws from stream + 1 + t
         raise ValueError("stream too large for the stream layout")
     inst = read_instance(args.infile)
-    records = []
+    runs = []
     for t in range(args.trials):
         s0, trace = frw._trial(inst, spec.with_stream(spec.stream + 1 + t), args.cap)
-        records.append({"trial": t, "start": s0.to01(), "steps": trace.steps,
-                        "hit_ground": trace.hit_ground})
+        runs.append((s0.to01(), trace.steps, trace.hit_ground))
         print(f"trial {t}: steps={trace.steps} hit_ground={trace.hit_ground}")
-    hits = sum(1 for r in records if r["hit_ground"])
-    report = Report("walk", {"infile": args.infile, "trials": args.trials, "cap": args.cap},
-                    spec, records=records,
-                    summary={"success_fraction": hits / len(records)})
+    starts, steps, hits = map(list, zip(*runs))
+    report = Report("walk", {"infile": args.infile, "trials": args.trials, "cap": args.cap}, spec,
+                    records=Table(trial=list(range(args.trials)), start=starts, steps=steps, hit_ground=hits),
+                    summary={"success_fraction": sum(hits) / args.trials})
     return _finish(report, args)
 
 
@@ -324,7 +313,7 @@ def _cmd_coeffs(args) -> int:
     if args.table == "B":
         table = enumerator.weight_enumerator_table(k, n)
         with _unlimited_int_str():
-            records = [{"w": w, "B": str(b)} for w, b in enumerate(table)]
+            records = Table(w=list(range(len(table))), B=[str(b) for b in table])
         summary = {"nonzero": sum(1 for b in table if b)}
     elif args.table == "S":
         total, regions = enumerator.kernel_bound_sum(k, n)
@@ -335,15 +324,15 @@ def _cmd_coeffs(args) -> int:
         summary = {"S": float(total), "limit": 4 if k % 2 == 0 else 2}
     elif args.table == "U":
         delta = "0.5" if args.delta is None else args.delta
-        records = [{"w": w, "U_decimal": float(expansion.expansion_failure_bound(k, n, w, delta))}
-                   for w in range(1, n + 1)]
+        records = Table(w=list(range(1, n + 1)), U_decimal=[
+            float(expansion.expansion_failure_bound(k, n, w, delta)) for w in range(1, n + 1)])
         summary = {"delta": delta}
     else:
         table = enumerator.weight_enumerator_table(k, n)
-        records = [{"w": w, "log_B": math.log(table[w]),
-                    "log_saddle_bound": enumerator.saddle_upper_bound(k, n, w)}
-                   for w in range(1, n) if table[w]]
-        summary = {"dominated": all(r["log_B"] <= r["log_saddle_bound"] + 1e-12 for r in records)}
+        ws = [w for w in range(1, n) if table[w]]
+        log_b, bound = [math.log(table[w]) for w in ws], [enumerator.saddle_upper_bound(k, n, w) for w in ws]
+        records = Table(w=ws, log_B=log_b, log_saddle_bound=bound)
+        summary = {"dominated": all(b <= s + 1e-12 for b, s in zip(log_b, bound))}
     report = Report("coeffs", {"k": k, "n": n, "table": args.table}, None,
                     records=records, summary=summary)
     for rec in records[: 8 if args.table != "S" else len(records)]:

@@ -80,7 +80,11 @@ def frw_run(inst: Instance, s0: State, rng: RngSpec, max_steps: int) -> WalkTrac
             r = d1 % v.bit_count()
             b = v & 255
             c = _POP8[b]
-            q = supports[_BITS8[b][r] if r < c else _select(v >> 8, r - c) + 8][j]
+            if r < c:
+                q = supports[_BITS8[b][r]][j]
+            else:  # the second byte inline too, _select from the third on
+                b, r = v >> 8 & 255, r - c
+                q = supports[_BITS8[b][r] + 8 if r < _POP8[b] else _select(v >> 16, r - _POP8[b]) + 16][j]
             s ^= bit[q]
             v ^= cols[q]
             if not v:

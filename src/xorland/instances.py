@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,8 +21,6 @@ from .rng import PHILOX, RngSpec
 
 FORMAT_VERSION = 1
 _SCALARS = {str, int, float, bool, type(None)}
-# C encoders (an indent turns it off) with separators one and two levels deep
-_FLAT, _ROWS = (json.JSONEncoder(separators=(",\n" + pad, ": ")).encode for pad in ("  ", "    "))
 
 
 class ParseError(ValueError):
@@ -131,27 +130,57 @@ def export_cnf(inst: Instance, path: str | Path):
     path.write_text("\n".join(out) + "\n")
 
 
-def _indented(obj) -> str:
-    """``json.dumps(obj, indent=2)``, the C encoder writing each container of
-    scalars and each list of non-empty flat dicts in one call.  Strings escape
-    their newlines, so raw ones come from separators and can be re-indented."""
+class Table(Sequence):
+    """Records as equal-length columns of JSON scalars, one keyword per field:
+    a read-only sequence whose row dicts are built on access."""
+
+    def __init__(self, **columns: list):
+        if len(lengths := {len(col) for col in columns.values()}) > 1:
+            raise ValueError(f"table columns differ in length: {sorted(lengths)}")
+        self.columns = columns
+
+    def __len__(self):
+        return len(next(iter(self.columns.values()), ()))
+
+    def __getitem__(self, i):
+        j = range(len(self))[i]
+        return [self._row(x) for x in j] if isinstance(j, range) else self._row(j)
+
+    def __iter__(self):
+        return (dict(zip(self.columns, row)) for row in zip(*self.columns.values()))
+
+    def _row(self, i):
+        return {key: col[i] for key, col in self.columns.items()}
+
+
+def _indented(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` with ``nl``, a newline and obj's indent, at each
+    line break.  The C encoder (an indent turns it off) writes each container of
+    scalars in one call, with the line breaks as its separators, and each column
+    of a Table, split at its separators to fill one row template of the encoded
+    keys: an encoded scalar holds no raw newline."""
+    inner = nl + "  "
+    if isinstance(obj, Table):
+        if not obj:
+            return "[]"
+        width = 2 * len(obj.columns) + 1
+        parts = [inner + "}"] * (width * len(obj))
+        for i, (key, col) in enumerate(obj.columns.items()):
+            parts[2 * i :: width] = [f",{'' if i else inner + '{'}{inner}  {json.dumps(key)}: "] * len(col)
+            parts[2 * i + 1 :: width] = json.JSONEncoder(separators=("\n", ":")).encode(col)[1:-1].split("\n")
+        return f"[{''.join(parts)[1:]}{nl}]"
     if isinstance(obj, dict):
         values, brackets = obj.values(), "{}"
     elif isinstance(obj, (list, tuple)):
         values, brackets = obj, "[]"
     else:
-        return _FLAT(obj)
+        return json.dumps(obj)
     if {type(v) for v in values} <= _SCALARS:
-        text = _FLAT(obj)
-        return text if len(text) == 2 else f"{text[0]}\n  {text[1:-1]}\n{text[-1]}"
-    if brackets == "[]" and all(type(row) is dict and row for row in obj) and {
-            type(v) for row in obj for v in row.values()} <= _SCALARS:
-        # a separator between two rows is the only one between "}" and "{"
-        body = _ROWS(obj)[2:-2].replace("},\n    {", "\n  },\n  {\n    ")
-        return f"[\n  {{\n    {body}\n  }}\n]"
-    items = ([f"{_FLAT({key: 0})[1:-4]}: {_indented(v)}" for key, v in obj.items()]
-             if brackets == "{}" else [_indented(v) for v in obj])
-    return f"{brackets[0]}\n  " + ",\n".join(items).replace("\n", "\n  ") + f"\n{brackets[1]}"
+        text = json.JSONEncoder(separators=("," + inner, ": ")).encode(obj)
+        return text if len(text) == 2 else f"{text[0]}{inner}{text[1:-1]}{nl}{text[-1]}"
+    items = ([f"{json.dumps({key: 0})[1:-4]}: {_indented(v, inner)}" for key, v in obj.items()]
+             if brackets == "{}" else [_indented(v, inner) for v in obj])
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}{nl}{brackets[1]}"
 
 
 @dataclass
@@ -161,10 +190,10 @@ class Report:
     experiment: str
     parameters: dict
     rng: RngSpec | None
-    records: list[dict] = field(default_factory=list)
+    records: list[dict] | Table = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
+    def _fields(self) -> dict:
         from . import __version__
 
         return {
@@ -177,8 +206,12 @@ class Report:
             "summary": self.summary,
         }
 
+    def to_dict(self) -> dict:
+        """The report as plain JSON values: a Table of records becomes its rows."""
+        return dict(self._fields(), records=list(self.records))
+
     def to_json(self) -> str:
-        return _indented(self.to_dict()) + "\n"
+        return _indented(self._fields()) + "\n"
 
     def write_json(self, path: str | Path):
         Path(path).write_text(self.to_json())

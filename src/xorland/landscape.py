@@ -92,6 +92,9 @@ class StateArray(Sequence):
         j = range(len(self))[i]
         return [self._item(x) for x in j] if isinstance(j, range) else self._item(j)
 
+    def __iter__(self):
+        return map(self._item, range(len(self)))
+
     def __eq__(self, other):
         return isinstance(other, Sequence) and list(self) == list(other)
 

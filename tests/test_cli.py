@@ -11,7 +11,7 @@ import pytest
 from xorland import cli, gf2, landscape
 from xorland.cli import main
 from xorland.enumerator import kernel_bound_sum, weight_enumerator_table
-from xorland.instances import read_instance, write_instance
+from xorland.instances import Report, Table, read_instance, write_instance
 from xorland.landscape import Instance
 from xorland.rng import RngSpec
 
@@ -217,7 +217,7 @@ class TestLandscape:
         def refuse(self, i):
             raise AssertionError("item built")
 
-        monkeypatch.setattr(landscape.StateArray, "__getitem__", refuse)
+        monkeypatch.setattr(landscape.StateArray, "_item", refuse)
         for flags, golden in (([], f"{name}_barriers.json"), (["--no-barriers"], f"{name}.json")):
             calls.clear()
             assert main(["landscape", "--in", str(infile), *flags, "--json", str(out)]) == 0
@@ -225,6 +225,22 @@ class TestLandscape:
             assert report == (DATA / golden).read_text()
             assert [c[0] for c in calls] == ["enumerate_local_minima", "barriers_to_ground"][: 2 - len(flags)]
         assert len(calls[0][2]) == data["summary"]["local_minima"]
+
+    @pytest.mark.parametrize("flags", [[], ["--no-barriers"]])
+    def test_json_writer_builds_no_rows(self, flags, monkeypatch, tmp_path):
+        # the records stay columns down to the JSON text: only the 16 records
+        # the command prints are built as dicts, by indexing or iteration
+        infile, out = DATA / "landscape_k3_n22.xnf", tmp_path / "l.json"
+        built, written = [], []
+        row, rows, to_json = Table._row, Table.__iter__, Report.to_json
+        monkeypatch.setattr(Table, "_row", lambda self, i: built.append(i) or row(self, i))
+        monkeypatch.setattr(Table, "__iter__", lambda self: (built.append(r) or r for r in rows(self)))
+        monkeypatch.setattr(Report, "to_json", lambda self: written.append(self) or to_json(self))
+        assert main(["landscape", "--in", str(infile), *flags, "--json", str(out)]) == 0
+        (report,) = written
+        assert isinstance(report.records, Table)
+        assert len(report.records) == json.loads(out.read_text())["summary"]["local_minima"] > 16
+        assert len(built) == 16
 
 
 class TestExpand:

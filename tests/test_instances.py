@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorland.instances import ParseError, Report, export_cnf, read_instance, write_instance
+from xorland.instances import ParseError, Report, Table, export_cnf, read_instance, write_instance
 from xorland.landscape import Instance, energy_table
 from xorland.oracles import parse_dimacs, violated_clause_count
 from xorland.rng import RngSpec
@@ -14,7 +14,7 @@ from xorland.rng import RngSpec
 DATA = Path(__file__).parent / "data"
 
 # strings that stress the writer: quotes, backslashes, raw newlines and other
-# control characters, non-ASCII text, and the separators it patches
+# control characters, non-ASCII text, and the separators it splits at
 _TEXT = st.text(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "€", "😀",
                                  "a", " ", ",", ":", "{", "}", "[", "]"]), max_size=8) | st.text(max_size=8)
 _SCALAR = (st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
@@ -29,6 +29,9 @@ _VALUE = st.recursive(
 # lists that also hold empty rows and rows that hold a list
 _RECORDS = st.lists(st.dictionaries(_TEXT, _SCALAR, min_size=1, max_size=4), max_size=6) | st.lists(
     st.dictionaries(_TEXT, _SCALAR | st.lists(_SCALAR, max_size=3), max_size=4), max_size=6)
+# Table columns: none, one or several, of zero or more rows, each column mixing types
+_COLUMNS = st.integers(0, 6).flatmap(lambda rows: st.dictionaries(
+    _TEXT, st.lists(_SCALAR, min_size=rows, max_size=rows), max_size=4))
 
 
 class TestInstanceFiles:
@@ -206,6 +209,34 @@ class TestReport:
     def test_json_matches_indented_dumps(self, records, value, params):
         report = Report("demo", params, None, records=records, summary={"value": value})
         assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(columns=_COLUMNS)
+    def test_table_json_matches_indented_dumps(self, columns):
+        report = Report("demo", {"k": 3}, None, records=Table(**columns), summary={"rows": 1})
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        assert report.to_dict()["records"] == rows
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(columns=_COLUMNS)
+    def test_table_csv_is_the_csv_of_its_rows(self, columns):
+        table = Table(**columns)
+        assert Report("demo", {}, None, records=table).to_csv() == \
+            Report("demo", {}, None, records=list(table)).to_csv()
+
+    def test_table_is_a_sequence_of_rows(self):
+        table = Table(w=[1, 2, 3], name=["a", "b", "c"])
+        rows = [{"w": 1, "name": "a"}, {"w": 2, "name": "b"}, {"w": 3, "name": "c"}]
+        assert len(table) == 3 and list(table) == rows
+        assert table[-1] == rows[-1] and table[1:] == rows[1:] and table[::-2] == rows[::-2]
+        with pytest.raises(IndexError):
+            table[3]
+        assert len(Table()) == len(Table(w=[])) == 0 and list(Table()) == []
+
+    def test_ragged_table_refused(self):
+        with pytest.raises(ValueError, match=r"table columns differ in length: \[1, 2\]"):
+            Table(w=[1, 2], name=["a"])
 
     def test_csv_records(self, tmp_path):
         report = Report("demo", {}, None, records=[{"a": 1, "b": 2}, {"a": 3, "b": 4}])
